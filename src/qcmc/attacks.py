@@ -17,8 +17,34 @@ factor is log2(c_iter / pi), minimized over the (p_s, l) grid.
 Dual-code attack (DCA): search the dual of the public code for the rows of
 the sparse H' = H Q^T, so w = n0 * d_v' with multiplicity p.  Information-set
 decoding attack (ISDA): append s block-wise cyclic shifts of an intercepted
-ciphertext to the public generator and search the extended code for any of
-the s shifted weight-t error patterns; the optimum s is part of the report.
+ciphertext to the public generator and search the extended code, of dimension
+k = (n0-1) p + s, for any of the s shifted weight-t error patterns.  The
+reported s is the smallest minimizer of the work factor over 1 <= s < p.
+
+WF(s) is not unimodal in s, so the minimum is found by branch-and-bound over
+intervals [s_lo, s_hi] with a provable lower bound, evaluated on the same
+(p_s, l) grid with each term at the end of [k_lo, k_hi] least favourable to
+the attacker:
+
+  * elimination (n-k)^2 (n+k)/2 has derivative -(n-k)(n+3k) < 0: use k_hi;
+  * C(ceil(k/2), p_s) grows with k, so both search terms use k_lo, and the
+    factor n-k of the checking term uses k_hi;
+  * in pi_one, C(floor(k/2), p_s) and C(ceil(k/2), p_s) grow with k (use k_hi)
+    and C(n-k-l, w-2 p_s) shrinks with k (use k_lo);
+  * 1 - (1 - pi)^T <= T pi, with T = s <= s_hi, and the probability is <= 1;
+  * a grid point counts if it is feasible for some k in the interval
+    (p_s <= floor(k_hi/2), w - 2 p_s <= n - k_lo - l).
+
+An interval is pruned only when its bound exceeds the best work factor found
+so far by more than PRUNE_MARGIN = 1e-6 bits.  The bound and the exact values
+come from different lgamma arguments, so the proof holds only up to rounding:
+against exact integer binomials, log2 C(a, b) via lgamma is off by at most
+1e-10 bits for a <= 2e4 and 4e-10 bits for a <= 7e4, and each side sums four
+such terms.  The margin is over 250 times that worst case, so no s whose
+computed work factor ties or beats the incumbent is ever pruned.  Intervals
+of at most LEAF_SIZE shift counts are scanned with isd_wf itself, lower half
+first, keeping the first strict minimum (ties go to the smallest s): the
+result equals a full scan of every s in every field.
 
 Binomials are evaluated in log2 through lgamma, so code lengths in the tens
 of thousands stay exact to float precision.
@@ -46,6 +72,8 @@ __all__ = [
 PS_MAX = 10
 ELL_MAX = 60
 LN2 = math.log(2.0)
+PRUNE_MARGIN = 1e-6
+LEAF_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -74,7 +102,6 @@ class WfReport:
     p_s: int
     ell: int
     s: int = 0
-    grid_edge: bool = False
 
 
 def _log2_comb(a, b):
@@ -102,38 +129,40 @@ def _log2_success(log2_pi_one, n_targets: int):
     return np.minimum(out, 0.0)
 
 
-def _grid_eval(inst: IsdInstance, ps_max: int, ell_max: int):
-    """Work factor over the (p_s, l) grid; +inf where infeasible."""
-    n, k, w = inst.n, inst.k, inst.w
-    k2a, k2b = k // 2, k - k // 2
+def _grid_eval(n: int, k_lo: int, k_hi: int, w: int, ps_max: int, ell_max: int):
+    """Cost model over the (p_s, l) grid for dimensions k in [k_lo, k_hi].
+
+    Returns (feasible, log2 pi_one, c_iter, p_s grid, l grid).  Each term takes
+    the end of the range least favourable to the attacker (see the module
+    docstring); with k_lo == k_hi it is the exact model at k.
+    """
     ps = np.arange(1, ps_max + 1)
     ell = np.arange(1, ell_max + 1)
     psg, ellg = np.meshgrid(ps, ell, indexing="ij")
 
-    feasible = (2 * psg <= w) & (psg <= k2a) & (w - 2 * psg <= n - k - ellg)
+    feasible = (2 * psg <= w) & (psg <= k_hi // 2) & (w - 2 * psg <= n - k_lo - ellg)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log2_pi_one = (_log2_comb(k2a, psg) + _log2_comb(k2b, psg)
-                       + _log2_comb(n - k - ellg, w - 2 * psg) - _log2_comb(n, w))
-        log2_pi = _log2_success(log2_pi_one, inst.n_targets)
-
-        half_rows = np.exp2(_log2_comb(k2b, psg))
-        cost = ((n - k) ** 2 * (n + k) / 2.0
+        log2_pi_one = (_log2_comb(k_hi // 2, psg) + _log2_comb(k_hi - k_hi // 2, psg)
+                       + _log2_comb(n - k_lo - ellg, w - 2 * psg) - _log2_comb(n, w))
+        half_rows = np.exp2(_log2_comb(k_lo - k_lo // 2, psg))
+        cost = ((n - k_hi) ** 2 * (n + k_hi) / 2.0
                 + 2.0 * ellg * psg * half_rows
-                + 2.0 * psg * (n - k) * half_rows**2 / np.exp2(ellg))
-        wf = np.where(feasible, np.log2(cost) - log2_pi, np.inf)
-    return wf, psg, ellg
+                + 2.0 * psg * (n - k_hi) * half_rows**2 / np.exp2(ellg))
+    return feasible, log2_pi_one, cost, psg, ellg
 
 
 def isd_wf(inst: IsdInstance, ps_max: int = PS_MAX, ell_max: int = ELL_MAX) -> WfReport:
     """Minimum Stern work factor over p_s in [1, ps_max], l in [1, ell_max]."""
-    wf, psg, ellg = _grid_eval(inst, ps_max, ell_max)
+    feasible, log2_pi_one, cost, psg, ellg = _grid_eval(inst.n, inst.k, inst.k, inst.w,
+                                                        ps_max, ell_max)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log2_pi = _log2_success(log2_pi_one, inst.n_targets)
+        wf = np.where(feasible, np.log2(cost) - log2_pi, np.inf)
     if not np.isfinite(wf).any():
         raise ParameterError("no feasible (p_s, l) pair for this instance")
     flat = int(np.argmin(wf))
     i, j = np.unravel_index(flat, wf.shape)
-    p_s, ell = int(psg[i, j]), int(ellg[i, j])
-    edge = p_s == ps_max or ell == ell_max
-    return WfReport(float(wf[i, j]), p_s, ell, 0, edge)
+    return WfReport(float(wf[i, j]), int(psg[i, j]), int(ellg[i, j]))
 
 
 def isd_success_probability(inst: IsdInstance, p_s: int, ell: int) -> float:
@@ -153,6 +182,8 @@ def dca_wf_at(n0: int, p: int, d_v_prime) -> WfReport:
     The dual of the public code has length n0*p and dimension p; the sought
     rows of H' have weight n0*d_v' and occur with multiplicity p.
     """
+    if n0 < 2:
+        raise ParameterError("need n0 >= 2 circulant blocks")
     w = int(round(n0 * d_v_prime))
     return isd_wf(IsdInstance(n=n0 * p, k=p, w=w, n_targets=p))
 
@@ -162,21 +193,42 @@ def dca_wf(params) -> WfReport:
     return dca_wf_at(params.n0, params.p, params.d_v_prime)
 
 
+def _isda_bound(n: int, k0: int, t: int, s_lo: int, s_hi: int,
+                ps_max: int, ell_max: int) -> float:
+    """Lower bound on the ISDA log2 work factor for every s in [s_lo, s_hi].
+
+    k0 is the public generator's dimension, so s shifts give k = k0 + s.
+    """
+    feasible, log2_pi_one, cost, _, _ = _grid_eval(n, k0 + s_lo, k0 + s_hi, t,
+                                                   ps_max, ell_max)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log2_pi = np.minimum(log2_pi_one + math.log2(s_hi), 0.0)
+        bound = np.where(feasible, np.log2(cost) - log2_pi, np.inf)
+    return float(bound.min())
+
+
 @lru_cache(maxsize=None)
 def _isda_cached(n0: int, p: int, t: int, ps_max: int, ell_max: int) -> WfReport:
-    k0 = n0 - 1
-    n = n0 * p
+    n, k0 = n0 * p, (n0 - 1) * p
     best: WfReport | None = None
-    for s in range(1, p + 1):
-        k = k0 * p + s
-        if k >= n:
-            break
-        try:
-            rep = isd_wf(IsdInstance(n=n, k=k, w=t, n_targets=s), ps_max, ell_max)
-        except ParameterError:
+    stack = [(1, p - 1)] if p > 1 else []
+    while stack:
+        s_lo, s_hi = stack.pop()
+        bound = _isda_bound(n, k0, t, s_lo, s_hi, ps_max, ell_max)
+        if bound == math.inf or (best is not None and bound > best.log2_wf + PRUNE_MARGIN):
             continue
-        if best is None or rep.log2_wf < best.log2_wf:
-            best = WfReport(rep.log2_wf, rep.p_s, rep.ell, s, rep.grid_edge)
+        if s_hi - s_lo < LEAF_SIZE:
+            for s in range(s_lo, s_hi + 1):
+                try:
+                    rep = isd_wf(IsdInstance(n=n, k=k0 + s, w=t, n_targets=s),
+                                 ps_max, ell_max)
+                except ParameterError:
+                    continue
+                if best is None or rep.log2_wf < best.log2_wf:
+                    best = WfReport(rep.log2_wf, rep.p_s, rep.ell, s)
+        else:
+            mid = (s_lo + s_hi) // 2
+            stack += [(mid + 1, s_hi), (s_lo, mid)]
     if best is None:
         raise ParameterError("no feasible shift count for this instance")
     return best
@@ -190,6 +242,8 @@ def isda_wf_at(n0: int, p: int, t: int,
     the public generator: length n0*p, dimension (n0-1)*p + s, weight t,
     multiplicity s.  The optimizing s is reported.
     """
+    if n0 < 2:
+        raise ParameterError("need n0 >= 2 circulant blocks")
     return _isda_cached(n0, p, t, ps_max, ell_max)
 
 

@@ -2,8 +2,9 @@
 
 Every command that consumes randomness takes an explicit --seed and is
 bit-deterministic given it.  Numeric reports are printed raw and in log2.
-Exit codes: 0 success, 2 usage or parameter errors, 1 domain failures with a
-machine-readable `error-category: <Name>` line on stderr.
+Exit codes: 0 success, 2 usage or parameter errors (unreadable or unwritable
+files included), 1 domain failures; both failures print a machine-readable
+`error-category: <Name>` line on stderr.
 """
 
 from __future__ import annotations
@@ -285,6 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _report_error(exc: Exception, code: int) -> int:
+    print(f"error-category: {type(exc).__name__}", file=sys.stderr)
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -293,14 +300,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParameterError as exc:
-        print(f"error-category: {type(exc).__name__}", file=sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ParameterError, OSError) as exc:  # OSError: an unreadable or unwritable path
+        return _report_error(exc, 2)
     except QcmcError as exc:
-        print(f"error-category: {type(exc).__name__}", file=sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _report_error(exc, 1)
 
 
 if __name__ == "__main__":

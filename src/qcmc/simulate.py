@@ -90,6 +90,8 @@ def run_trials(h: ParityCheck, cfg: DecoderConfig, t_err: int, trials: int,
         raise ParameterError("t_err out of range")
     if trials < 1:
         raise ParameterError("need at least one trial")
+    if jobs < 1:
+        raise ParameterError("need at least one job")
     seed_bytes = normalize_seed(seed)
 
     lots = []

@@ -1,12 +1,17 @@
 """Independent oracles for tests: dense GF(2) linear algebra, plain polynomial
-division over GF(2), and a small executable Stern search.
+division over GF(2), a small executable Stern search, and the full ISDA
+shift-count scan.
 
 Everything here is deliberately separate from the package implementation:
 dense matrices instead of ring arithmetic, schoolbook algorithms instead of
-packed-bit tricks, so agreement is meaningful.
+packed-bit tricks, an exhaustive scan instead of branch-and-bound, so
+agreement is meaningful.
 """
 
 import numpy as np
+
+from qcmc.attacks import ELL_MAX, PS_MAX, IsdInstance, WfReport, isd_wf
+from qcmc.errors import ParameterError
 
 
 def gf2_rref(M):
@@ -110,3 +115,28 @@ def stern_search_iterations(G, w: int, ell: int, rng: np.random.RandomState,
                 if int(cand.sum()) == w:
                     return iteration
     raise RuntimeError("stern search did not terminate")
+
+
+def isda_full_scan(n0: int, p: int, t: int,
+                   ps_max: int = PS_MAX, ell_max: int = ELL_MAX) -> WfReport:
+    """ISDA work factor by evaluating isd_wf at every shift count s in [1, p).
+
+    Keeps the first strict minimum, so ties go to the smallest s; raises
+    ParameterError when no s is feasible.
+    """
+    k0 = n0 - 1
+    n = n0 * p
+    best = None
+    for s in range(1, p + 1):
+        k = k0 * p + s
+        if k >= n:
+            break
+        try:
+            rep = isd_wf(IsdInstance(n=n, k=k, w=t, n_targets=s), ps_max, ell_max)
+        except ParameterError:
+            continue
+        if best is None or rep.log2_wf < best.log2_wf:
+            best = WfReport(rep.log2_wf, rep.p_s, rep.ell, s)
+    if best is None:
+        raise ParameterError("no feasible shift count for this instance")
+    return best

@@ -2,11 +2,13 @@
 
 import io
 import math
+import random
 
 import numpy as np
 import pytest
 
-from oracles import count_weight_w_codewords, stern_search_iterations
+from oracles import count_weight_w_codewords, isda_full_scan, stern_search_iterations
+from qcmc import attacks
 from qcmc.attacks import (IsdInstance, dca_wf_at, dca_table, h_enumeration_wf,
                           isd_success_probability, isd_wf, isda_wf_at, isda_table,
                           q_space_size, write_wf_csv)
@@ -153,3 +155,81 @@ class TestAttackCurves:
         assert buf.getvalue().splitlines()[0] == "p,d_v_prime,log2_wf,p_s,ell"
         rows2 = isda_table(4, [1024], [25])
         assert rows2[0]["s"] >= 1
+
+
+def _random_isda_points(count: int, seed: int = 20130101) -> list[tuple[int, int, int]]:
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        n0 = rng.choice((2, 3, 4))
+        p = rng.choice((rng.randint(2, 40), rng.randint(41, 700)))
+        t = rng.choice((rng.randint(0, 6), rng.randint(7, 30), rng.randint(31, 120)))
+        points.append((n0, p, t))
+    return points
+
+
+ISDA_POINTS = ([(4, 4096, 47), (4, 7168, 62), (4, 16384, 47), (4, 16384, 60),
+                (4, 4096, 10)]
+               + [(4, 1024, t) for t in range(30, 81, 10)]
+               + _random_isda_points(50))
+
+
+class TestIsdaSearch:
+    @pytest.mark.parametrize("n0,p,t", ISDA_POINTS)
+    def test_equals_full_scan(self, n0, p, t):
+        try:
+            expected = isda_full_scan(n0, p, t)
+        except ParameterError:
+            with pytest.raises(ParameterError):
+                isda_wf_at(n0, p, t)
+            return
+        assert isda_wf_at(n0, p, t) == expected
+
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_infeasible_error_counts_raise(self, t):
+        # no split weight p_s >= 1 fits 2 p_s <= t
+        with pytest.raises(ParameterError):
+            isda_full_scan(4, 1024, t)
+        with pytest.raises(ParameterError):
+            isda_wf_at(4, 1024, t)
+
+    def test_interval_bound_is_sound(self):
+        # the pruning bound never exceeds the work factor of any s it covers
+        rng = random.Random(7)
+        cases = [(4, 4096, 47, 1, 200), (4, 4096, 47, 90, 110), (4, 4096, 47, 2000, 2100),
+                 (2, 4096, 40, 100, 160), (4, 16384, 60, 290, 310)]
+        for n0, p, t in _random_isda_points(40, seed=11):
+            if p >= 3:
+                s_lo = rng.randint(1, p - 2)
+                cases.append((n0, p, t, s_lo, rng.randint(s_lo + 1, min(p - 1, s_lo + 200))))
+        for n0, p, t, s_lo, s_hi in cases:
+            bound = attacks._isda_bound(n0 * p, (n0 - 1) * p, t, s_lo, s_hi,
+                                        attacks.PS_MAX, attacks.ELL_MAX)
+            for s in range(s_lo, s_hi + 1):
+                try:
+                    wf = isd_wf(IsdInstance(n0 * p, (n0 - 1) * p + s, t, s)).log2_wf
+                except ParameterError:
+                    continue
+                assert bound <= wf + attacks.PRUNE_MARGIN, (n0, p, t, s_lo, s_hi, s)
+
+    def test_scans_few_shift_counts(self, monkeypatch):
+        calls = []
+        original = attacks.isd_wf
+
+        def counting(inst, *args):
+            calls.append(inst.n_targets)
+            return original(inst, *args)
+
+        attacks._isda_cached.cache_clear()
+        monkeypatch.setattr(attacks, "isd_wf", counting)
+        rep = isda_wf_at(4, 4096, 47)
+        assert rep.s == 98
+        assert rep.s in calls
+        assert len(calls) <= 0.05 * 4095
+
+    @pytest.mark.parametrize("n0", [-1, 0, 1])
+    def test_fewer_than_two_blocks_rejected(self, n0):
+        with pytest.raises(ParameterError):
+            isda_wf_at(n0, 1024, 30)
+        with pytest.raises(ParameterError):
+            dca_wf_at(n0, 1024, 20)

@@ -100,6 +100,29 @@ def test_simulate_deterministic(workdir, capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_simulate_rejects_jobs_below_one(workdir, capsys, jobs):
+    assert main(KEYGEN) == 0
+    code = main(["simulate", "--key", "toy.sk", "--t", "2", "--trials", "5",
+                 "--jobs", jobs])
+    assert code == 2
+    assert "error-category: ParameterError" in capsys.readouterr().err
+
+
+def test_simulate_missing_key_file(workdir, capsys):
+    code = main(["simulate", "--key", "absent.sk", "--t", "2", "--trials", "5"])
+    assert code == 2
+    assert "error-category: FileNotFoundError" in capsys.readouterr().err
+
+
+def test_wf_isda_rejects_single_block(workdir, capsys):
+    code = main(["wf", "--attack", "isda", "--n0", "1", "--p", "1024", "--t", "30"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error-category: ParameterError" in captured.err
+    assert captured.out == ""
+
+
 def test_optimize_table(workdir, capsys):
     assert main(["optimize", "--security", "100", "--n0", "4", "--I", "10",
                  "--csv", "designs.csv"]) == 0
