@@ -177,13 +177,13 @@ def cmd_inspect(args) -> int:
     path = args.key
     with open(path) as fh:
         first = fh.readline().split()
-    if first[0] == crypto.CT_MAGIC:
+    if first[:1] == [crypto.CT_MAGIC]:
         c = crypto.load_ciphertext(path)
         print(f"ciphertext: n={c.size} weight={int(c.sum())}")
         return 0
     try:
         sk = crypto.load_private_key(path)
-    except (ParameterError, KeyError):
+    except ParameterError:
         sk = None
     if sk is not None:
         pr = sk.params

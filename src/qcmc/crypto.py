@@ -245,14 +245,16 @@ def _w_line(params: SystemParams) -> str:
 def _parse_header(lines: list[str], magic: str) -> tuple[SystemParams, str, bytes | None, int]:
     if not lines or not lines[0].startswith(magic + " "):
         raise ParameterError(f"not a {magic} file")
+    if len(lines) < 3 or not lines[2].startswith("W="):
+        raise ParameterError("missing parameter or weight matrix line")
     mode_token = lines[0].split()[1]
-    fields = dict(tok.split("=", 1) for tok in lines[1].split())
-    n0, p = int(fields["n0"]), int(fields["p"])
-    d_v, t = int(fields["dv"]), int(fields["t"])
-    seed = bytes.fromhex(fields["seed"]) if "seed" in fields else None
-    if not lines[2].startswith("W="):
-        raise ParameterError("missing weight matrix line")
-    w_flat = [int(x) for x in lines[2][2:].split(",")]
+    try:
+        fields = dict(tok.split("=", 1) for tok in lines[1].split())
+        n0, p, d_v, t = (int(fields[key]) for key in ("n0", "p", "dv", "t"))
+        seed = bytes.fromhex(fields["seed"]) if "seed" in fields else None
+        w_flat = [int(x) for x in lines[2][2:].split(",")]
+    except (KeyError, ValueError) as exc:
+        raise ParameterError(f"malformed {magic} header: {exc!r}") from exc
     if len(w_flat) != n0 * n0:
         raise ParameterError("weight matrix length mismatch")
     W = tuple(tuple(w_flat[i * n0:(i + 1) * n0]) for i in range(n0))

@@ -1,10 +1,10 @@
 """Independent oracles for tests: dense GF(2) linear algebra, plain polynomial
-division over GF(2), a small executable Stern search, and the full ISDA
-shift-count scan.
+division over GF(2), the shift-xor ring product, a small executable Stern
+search, and the full ISDA shift-count scan.
 
 Everything here is deliberately separate from the package implementation:
 dense matrices instead of ring arithmetic, schoolbook algorithms instead of
-packed-bit tricks, an exhaustive scan instead of branch-and-bound, so
+packed-bit tricks or FFTs, an exhaustive scan instead of branch-and-bound, so
 agreement is meaningful.
 """
 
@@ -12,6 +12,7 @@ import numpy as np
 
 from qcmc.attacks import ELL_MAX, PS_MAX, IsdInstance, WfReport, isd_wf
 from qcmc.errors import ParameterError
+from qcmc.gf2 import BitPolynomial, _cyclic_shift
 
 
 def gf2_rref(M):
@@ -64,6 +65,30 @@ def poly_divides(divisor_bits: int, dividend_bits: int) -> bool:
     while a and a.bit_length() - 1 >= db:
         a ^= b << (a.bit_length() - 1 - db)
     return a == 0
+
+
+def support_bit_loop(poly: BitPolynomial) -> tuple[int, ...]:
+    """Support of a ring element by peeling off its lowest set bit, one at a time."""
+    bits, out = poly.bits, []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
+
+
+def poly_mul_shift_xor(a: BitPolynomial, b: BitPolynomial) -> BitPolynomial:
+    """Product in R_p as the XOR of cyclic shifts of one operand, one shift per
+    term of the sparser operand, whatever the weights."""
+    if a.p != b.p:
+        raise ParameterError("mismatched moduli")
+    if a.weight > b.weight:
+        a, b = b, a
+    acc = 0
+    bb = b.bits
+    for s in support_bit_loop(a):
+        acc ^= _cyclic_shift(bb, s, a.p)
+    return BitPolynomial(a.p, acc)
 
 
 def circulant_dense(first_row):

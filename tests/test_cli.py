@@ -115,6 +115,23 @@ def test_simulate_missing_key_file(workdir, capsys):
     assert "error-category: FileNotFoundError" in capsys.readouterr().err
 
 
+def test_inspect_empty_file(workdir, capsys):
+    (workdir / "empty.sk").write_bytes(b"")
+    assert main(["inspect", "--key", "empty.sk"]) == 2
+    assert "error-category: ParameterError" in capsys.readouterr().err
+
+
+def test_simulate_key_without_dv(workdir, capsys):
+    assert main(KEYGEN) == 0
+    text = (workdir / "toy.sk").read_text()
+    assert " dv=5 " in text
+    (workdir / "nodv.sk").write_text(text.replace(" dv=5 ", " ", 1))
+    capsys.readouterr()
+    code = main(["simulate", "--key", "nodv.sk", "--t", "2", "--trials", "5"])
+    assert code == 2
+    assert "error-category: ParameterError" in capsys.readouterr().err
+
+
 def test_wf_isda_rejects_single_block(workdir, capsys):
     code = main(["wf", "--attack", "isda", "--n0", "1", "--p", "1024", "--t", "30"])
     assert code == 2

@@ -1,14 +1,28 @@
 """Ring arithmetic against dense GF(2) matrix oracles and frozen examples."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oracles import circulant_dense, gf2_inv, gf2_matmul, gf2_rank, poly_divides
+import qcmc
+import qcmc.gf2
+from oracles import (circulant_dense, gf2_inv, gf2_matmul, gf2_rank, poly_divides,
+                     poly_mul_shift_xor, support_bit_loop)
 from qcmc.errors import NotInvertibleError, ParameterError, SingularMatrixError
-from qcmc.gf2 import (BitPolynomial, QcMatrix, SparseSupport, bits_to_int,
+from qcmc.gf2 import (FFT_CROSSOVER, BitPolynomial, QcMatrix, SparseSupport, bits_to_int,
                       int_to_bits, poly_inverse, poly_mul, qc_add, qc_invert,
                       qc_mul, qc_transpose, qc_vec_mul)
+from qcmc.optimize import DEFAULT_P_GRID
 from qcmc.prng import SeedStream
+
+# Tiny moduli, p = 257 (2p - 1 is one past a power of two, so the FFT length
+# doubles), both parities around the 100-bit point's p = 4096, a p that is not
+# a power of two, and the largest p the optimizer searches.
+ORACLE_P = (1, 2, 3, 7, 257, 4095, 4096, 6272, max(DEFAULT_P_GRID))
 
 
 def random_poly(p, rng, weight=None):
@@ -66,6 +80,63 @@ class TestPolyMul:
             poly_mul(BitPolynomial.one(7), BitPolynomial.one(8))
 
 
+class TestProductOracle:
+    """poly_mul and support() equal the shift-xor product and the bit loop."""
+
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_dense_by_dense(self, p):
+        rng = SeedStream(19, f"oracle-dense-{p}")
+        full = BitPolynomial(p, (1 << p) - 1)  # largest counts: p terms per bin
+        pairs = [(full, full)] + [(random_poly(p, rng), random_poly(p, rng))
+                                  for _ in range(3)]
+        for a, b in pairs:
+            assert poly_mul(a, b) == poly_mul_shift_xor(a, b)
+
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_sparse_by_dense_around_crossover(self, p):
+        rng = SeedStream(20, f"oracle-cross-{p}")
+        for w in (FFT_CROSSOVER - 1, FFT_CROSSOVER, FFT_CROSSOVER + 1):
+            sparse = random_poly(p, rng, weight=min(w, p))
+            dense = random_poly(p, rng)
+            assert sparse.weight == min(w, p)
+            assert poly_mul(sparse, dense) == poly_mul_shift_xor(sparse, dense)
+            assert poly_mul(dense, sparse) == poly_mul_shift_xor(dense, sparse)
+
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_support_matches_bit_loop(self, p):
+        rng = SeedStream(21, f"oracle-support-{p}")
+        polys = [BitPolynomial.zero(p), BitPolynomial.one(p),
+                 BitPolynomial(p, (1 << p) - 1), BitPolynomial.monomial(p, p - 1),
+                 random_poly(p, rng), random_poly(p, rng, weight=min(p, 15))]
+        for poly in polys:
+            support = poly.support()
+            assert support == support_bit_loop(poly)
+            assert all(type(i) is int for i in support)
+
+    def test_fft_rounding_margin_at_largest_p(self):
+        p = max(DEFAULT_P_GRID)
+        size = 1 << (2 * p - 2).bit_length()
+        rng = SeedStream(22, "oracle-rounding")
+        ones = np.ones(p, dtype=np.uint8)
+        pairs = [(ones, ones)] + [(int_to_bits(rng.poly_bits(p), p),
+                                   int_to_bits(rng.poly_bits(p), p)) for _ in range(2)]
+        for a, b in pairs:
+            raw = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)
+            assert np.abs(raw - np.rint(raw)).max() < 0.25
+
+
+def test_import_does_not_load_scipy_signal():
+    src_root = str(Path(qcmc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src_root, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, qcmc; print(qcmc.__file__); print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    loaded_from, signal_loaded = proc.stdout.split()
+    assert Path(loaded_from).resolve() == Path(qcmc.__file__).resolve()
+    assert signal_loaded == "False"
+
+
 class TestPolyInverse:
     def test_one(self):
         assert poly_inverse(BitPolynomial.one(9)) == BitPolynomial.one(9)
@@ -89,6 +160,15 @@ class TestPolyInverse:
                 continue
             with pytest.raises(NotInvertibleError):
                 poly_inverse(random_poly(p, rng, weight=w))
+
+    def test_even_weight_rejected_before_euclid(self, monkeypatch):
+        def no_euclid(*args):
+            raise AssertionError("Euclid ran on an even-weight operand")
+        monkeypatch.setattr(qcmc.gf2, "_poly_divmod", no_euclid)
+        rng = SeedStream(23, "inv-even-early")
+        for poly in (BitPolynomial.zero(4096), random_poly(4096, rng, weight=2 * 1024)):
+            with pytest.raises(NotInvertibleError, match="gcd with x\\^p - 1 is nontrivial"):
+                poly_inverse(poly)
 
     def test_exact_inverse_or_singular_dense(self):
         rng = SeedStream(4, "inv-oracle")
