@@ -12,7 +12,7 @@ with per-iteration success probability
     pi_one = C(floor(k/2), p_s) C(ceil(k/2), p_s) C(n-k-l, w-2 p_s) / C(n, w)
 
 boosted by multiplicity: pi = 1 - (1 - pi_one)^n_targets.  The reported work
-factor is log2(c_iter / pi), minimized over the (p_s, l) grid.
+factor is log2(c_iter / pi), minimized over 1 <= p_s <= PS_MAX, 1 <= l <= ELL_MAX.
 
 Dual-code attack (DCA): search the dual of the public code for the rows of
 the sparse H' = H Q^T, so w = n0 * d_v' with multiplicity p.  Information-set
@@ -151,10 +151,10 @@ def _grid_eval(n: int, k_lo: int, k_hi: int, w: int, ps_max: int, ell_max: int):
     return feasible, log2_pi_one, cost, psg, ellg
 
 
-def isd_wf(inst: IsdInstance, ps_max: int = PS_MAX, ell_max: int = ELL_MAX) -> WfReport:
-    """Minimum Stern work factor over p_s in [1, ps_max], l in [1, ell_max]."""
+def isd_wf(inst: IsdInstance) -> WfReport:
+    """Minimum Stern work factor over p_s in [1, PS_MAX], l in [1, ELL_MAX]."""
     feasible, log2_pi_one, cost, psg, ellg = _grid_eval(inst.n, inst.k, inst.k, inst.w,
-                                                        ps_max, ell_max)
+                                                        PS_MAX, ELL_MAX)
     with np.errstate(divide="ignore", invalid="ignore"):
         log2_pi = _log2_success(log2_pi_one, inst.n_targets)
         wf = np.where(feasible, np.log2(cost) - log2_pi, np.inf)
@@ -208,20 +208,19 @@ def _isda_bound(n: int, k0: int, t: int, s_lo: int, s_hi: int,
 
 
 @lru_cache(maxsize=None)
-def _isda_cached(n0: int, p: int, t: int, ps_max: int, ell_max: int) -> WfReport:
+def _isda_cached(n0: int, p: int, t: int) -> WfReport:
     n, k0 = n0 * p, (n0 - 1) * p
     best: WfReport | None = None
     stack = [(1, p - 1)] if p > 1 else []
     while stack:
         s_lo, s_hi = stack.pop()
-        bound = _isda_bound(n, k0, t, s_lo, s_hi, ps_max, ell_max)
+        bound = _isda_bound(n, k0, t, s_lo, s_hi, PS_MAX, ELL_MAX)
         if bound == math.inf or (best is not None and bound > best.log2_wf + PRUNE_MARGIN):
             continue
         if s_hi - s_lo < LEAF_SIZE:
             for s in range(s_lo, s_hi + 1):
                 try:
-                    rep = isd_wf(IsdInstance(n=n, k=k0 + s, w=t, n_targets=s),
-                                 ps_max, ell_max)
+                    rep = isd_wf(IsdInstance(n=n, k=k0 + s, w=t, n_targets=s))
                 except ParameterError:
                     continue
                 if best is None or rep.log2_wf < best.log2_wf:
@@ -234,17 +233,17 @@ def _isda_cached(n0: int, p: int, t: int, ps_max: int, ell_max: int) -> WfReport
     return best
 
 
-def isda_wf_at(n0: int, p: int, t: int,
-               ps_max: int = PS_MAX, ell_max: int = ELL_MAX) -> WfReport:
+def isda_wf_at(n0: int, p: int, t: int) -> WfReport:
     """Information-set decoding attack work factor at t intentional errors.
 
     Minimizes over the number s of block-wise shifted ciphertexts appended to
     the public generator: length n0*p, dimension (n0-1)*p + s, weight t,
-    multiplicity s.  The optimizing s is reported.
+    multiplicity s, each s costed by isd_wf over its PS_MAX x ELL_MAX grid.
+    The optimizing s is reported.
     """
     if n0 < 2:
         raise ParameterError("need n0 >= 2 circulant blocks")
-    return _isda_cached(n0, p, t, ps_max, ell_max)
+    return _isda_cached(n0, p, t)
 
 
 def isda_wf(params) -> WfReport:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 from fractions import Fraction
 
@@ -43,15 +42,13 @@ def _parse_range(text: str) -> list[int]:
     return _parse_int_list(text)
 
 
-def _decoder_config(args, params: SystemParams | None = None) -> DecoderConfig:
+def _decoder_config(args, params: SystemParams) -> DecoderConfig:
     algo = {"bf": Algorithm.BF_FIXED, "bfv": Algorithm.BF_VARIABLE,
             "spa": Algorithm.SPA}[args.decoder]
     b = args.b
-    if algo is Algorithm.BF_FIXED and b is None and params is not None:
+    if algo is Algorithm.BF_FIXED and b is None:
         b = params.d_v  # safe default: unanimous-vote flips
-    p0 = None
-    if algo is Algorithm.SPA and params is not None:
-        p0 = max(params.t_prime, 1) / params.n
+    p0 = params.error_fraction if algo is Algorithm.SPA else None
     return DecoderConfig(algo, max_iterations=args.max_iter, b=b, delta=args.delta, p0=p0)
 
 
@@ -210,6 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", default=DEFAULT_SEED,
                        help="hex seed (any length; canonicalized to 256 bits)")
 
+    def add_decoder(p, default):
+        p.add_argument("--decoder", choices=["bf", "bfv", "spa"], default=default)
+        p.add_argument("--b", type=int, default=None)
+        p.add_argument("--delta", type=int, default=0)
+        p.add_argument("--max-iter", dest="max_iter", type=int, default=100)
+
     p = sub.add_parser("keygen", help="generate a key pair")
     p.add_argument("--n0", type=int, default=4)
     p.add_argument("--p", type=int, required=True)
@@ -234,10 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sk", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--decoder", choices=["bf", "bfv", "spa"], default="spa")
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--delta", type=int, default=0)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=100)
+    add_decoder(p, "spa")
     p.set_defaults(func=cmd_decrypt)
 
     p = sub.add_parser("threshold", help="BF decoding threshold grid (CSV)")
@@ -270,11 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True, help="private key file")
     p.add_argument("--t", required=True, help="error counts, values or range")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--decoder", choices=["bf", "bfv", "spa"], default="bfv")
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--delta", type=int, default=0)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=int(os.environ.get("QCMC_JOBS", "1")))
+    add_decoder(p, "bfv")
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     add_seed(p)
     p.set_defaults(func=cmd_simulate)

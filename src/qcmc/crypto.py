@@ -22,7 +22,7 @@ research toolkit: no constant-time guarantees, no side-channel hardening.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -201,10 +201,9 @@ def decrypt(sk: PrivateKey, c: np.ndarray, cfg: DecoderConfig | None = None) -> 
     if c.shape != (params.n,):
         raise ParameterError(f"ciphertext length must be {params.n} bits")
     if cfg is None:
-        cfg = DecoderConfig(Algorithm.SPA, p0=max(params.t_prime, 1) / params.n)
+        cfg = DecoderConfig(Algorithm.SPA)
     if cfg.algorithm is Algorithm.SPA and cfg.p0 is None:
-        cfg = DecoderConfig(Algorithm.SPA, cfg.max_iterations, cfg.b, cfg.delta,
-                            max(params.t_prime, 1) / params.n)
+        cfg = replace(cfg, p0=params.error_fraction)
 
     c_priv = c if sk.q_is_identity else qc_vec_mul(c, sk.Q)
     outcome = decode(sk.h, c_priv, cfg)
@@ -242,13 +241,14 @@ def _w_line(params: SystemParams) -> str:
     return "W=" + ",".join(str(x) for row in params.W for x in row)
 
 
-def _parse_header(lines: list[str], magic: str) -> tuple[SystemParams, str, bytes | None, int]:
+def _parse_header(lines: list[str],
+                  magic: str) -> tuple[SystemParams, KeyMode, bytes | None, int]:
     if not lines or not lines[0].startswith(magic + " "):
         raise ParameterError(f"not a {magic} file")
     if len(lines) < 3 or not lines[2].startswith("W="):
         raise ParameterError("missing parameter or weight matrix line")
-    mode_token = lines[0].split()[1]
     try:
+        mode = KeyMode(lines[0].split()[1])
         fields = dict(tok.split("=", 1) for tok in lines[1].split())
         n0, p, d_v, t = (int(fields[key]) for key in ("n0", "p", "dv", "t"))
         seed = bytes.fromhex(fields["seed"]) if "seed" in fields else None
@@ -258,7 +258,7 @@ def _parse_header(lines: list[str], magic: str) -> tuple[SystemParams, str, byte
     if len(w_flat) != n0 * n0:
         raise ParameterError("weight matrix length mismatch")
     W = tuple(tuple(w_flat[i * n0:(i + 1) * n0]) for i in range(n0))
-    return SystemParams(n0, p, d_v, W, t), mode_token, seed, 3
+    return SystemParams(n0, p, d_v, W, t), mode, seed, 3
 
 
 def _write_lines(path: str | os.PathLike, lines: list[str]) -> None:
@@ -280,8 +280,7 @@ def save_public_key(pk: PublicKey, path) -> None:
 def load_public_key(path) -> PublicKey:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    params, mode_token, _, at = _parse_header(lines, KEY_MAGIC)
-    mode = KeyMode(mode_token)
+    params, mode, _, at = _parse_header(lines, KEY_MAGIC)
     polys = [BitPolynomial.from_hex(params.p, ln) for ln in lines[at:]]
     k0, n0, p = params.k0, params.n0, params.p
     if mode is KeyMode.SYSTEMATIC:
@@ -312,8 +311,7 @@ def save_private_key(sk: PrivateKey, path) -> None:
 def load_private_key(path) -> PrivateKey:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    params, mode_token, seed, at = _parse_header(lines, KEY_MAGIC)
-    mode = KeyMode(mode_token)
+    params, mode, seed, at = _parse_header(lines, KEY_MAGIC)
     n0, k0, p = params.n0, params.k0, params.p
     expected = n0 + k0 * k0 + n0 * n0
     polys = [BitPolynomial.from_hex(p, ln) for ln in lines[at:]]
@@ -341,8 +339,14 @@ def load_ciphertext(path) -> np.ndarray:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != CT_MAGIC:
         raise ParameterError(f"not a {CT_MAGIC} file")
-    n = int(lines[1].split("=", 1)[1])
-    value = int.from_bytes(bytes.fromhex(lines[2]), "little")
+    try:
+        n = int(lines[1].split("=", 1)[1])
+        raw = bytes.fromhex(lines[2])
+    except (IndexError, ValueError) as exc:
+        raise ParameterError(f"malformed {CT_MAGIC} file: {exc!r}") from exc
+    if len(raw) != (n + 7) // 8:
+        raise ParameterError(f"payload is {len(raw)} bytes, expected {(n + 7) // 8}")
+    value = int.from_bytes(raw, "little")
     if value >> n:
         raise ParameterError("stray bits beyond length n")
     return int_to_bits(value, n)

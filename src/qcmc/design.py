@@ -161,6 +161,11 @@ class SystemParams:
         return math.ceil(self.m * self.t)
 
     @property
+    def error_fraction(self) -> float:
+        """Fraction max(t', 1)/n of errored bits the private decoder sees (SPA's p0)."""
+        return max(self.t_prime, 1) / self.n
+
+    @property
     def d_v_prime(self) -> Fraction:
         return self.m * self.d_v
 
@@ -243,8 +248,8 @@ def has_distinct_differences(p: int, supports) -> bool:
     return True
 
 
-def _grow_difference_block(p: int, d_v: int, pool: set[int], rng: SeedStream,
-                           tries_per_element: int = 200) -> SparseSupport | None:
+def _grow_difference_block(p: int, d_v: int, pool: set[int],
+                           rng: SeedStream) -> SparseSupport | None:
     """One support grown element by element against the pooled difference set.
 
     Whole-block rejection is hopeless at practical densities (every fresh
@@ -254,7 +259,7 @@ def _grow_difference_block(p: int, d_v: int, pool: set[int], rng: SeedStream,
     support: list[int] = []
     local: set[int] = set()
     for _ in range(d_v):
-        for _ in range(tries_per_element):
+        for _ in range(200):  # draws per index before the block is given up
             cand = rng.below(p)
             if cand in support:
                 continue

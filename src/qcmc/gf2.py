@@ -110,10 +110,6 @@ class BitPolynomial:
         """Polynomial of the transposed circulant: exponents negated mod p."""
         return BitPolynomial.from_support(self.p, [(-i) % self.p for i in self.support()])
 
-    def shift(self, s: int) -> "BitPolynomial":
-        """Multiply by x^s (cyclic shift of the coefficient row)."""
-        return BitPolynomial(self.p, _cyclic_shift(self.bits, s % self.p, self.p))
-
     def to_dense(self) -> np.ndarray:
         """Full p x p circulant expansion (intended for small p)."""
         row = self.coeffs()
@@ -128,7 +124,10 @@ class BitPolynomial:
 
     @classmethod
     def from_hex(cls, p: int, text: str) -> "BitPolynomial":
-        raw = bytes.fromhex(text.strip())
+        try:
+            raw = bytes.fromhex(text.strip())
+        except ValueError as exc:
+            raise ParameterError(f"not a hex polynomial: {exc}") from exc
         if len(raw) != (p + 7) // 8:
             raise ParameterError(f"expected {(p + 7) // 8} bytes for p={p}, got {len(raw)}")
         value = int.from_bytes(raw, "little")
@@ -276,9 +275,6 @@ class QcMatrix:
     def zero(cls, rows0: int, cols0: int, p: int) -> "QcMatrix":
         z = BitPolynomial.zero(p)
         return cls(rows0, cols0, p, tuple(tuple(z for _ in range(cols0)) for _ in range(rows0)))
-
-    def block(self, i: int, j: int) -> BitPolynomial:
-        return self.blocks[i][j]
 
     @property
     def total_weight(self) -> int:

@@ -9,11 +9,11 @@ practical optimum into [1, m'].
 
 The search procedure: fix the security level, derive the smallest public
 column weight d_v' resisting dual-code attacks and the smallest t resisting
-information-set decoding (both at a conservative reference length); then,
-for every candidate private weight d_v, snap m = d_v'/d_v to the grid
-realizable by integer circulant-block weights, find the shortest p whose
-bit-flipping threshold covers t' = ceil(m t), and keep the rows that
-re-verify every constraint at the achieved parameters.
+information-set decoding (both at the shortest length in the p grid, the
+conservative reference); then, for every candidate private weight d_v, snap
+m = d_v'/d_v to the grid realizable by integer circulant-block weights, find
+the shortest p whose bit-flipping threshold covers t' = ceil(m t), and keep
+the rows that re-verify every constraint at the achieved parameters.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ __all__ = ["OptimizerConfig", "DesignResult", "OptimizationReport",
 
 DEFAULT_P_GRID = tuple(1024 * i for i in range(4, 33))  # 2^12 .. 2^15
 DEFAULT_CANDIDATES = (15, 19, 25, 35, 45, 59, 77)
+D_V_PRIME_MAX = 300
+T_MAX = 600
 
 
 def complexity_c(n: int, d_v_prime, m, I, alpha=1.0) -> float:
@@ -62,7 +64,6 @@ class OptimizerConfig:
     d_v_candidates: tuple[int, ...] = DEFAULT_CANDIDATES
     m_resolution: Fraction | None = None  # defaults to 1/n0
     p_grid: tuple[int, ...] = DEFAULT_P_GRID
-    p_ref: int | None = None  # conservative reference length; defaults to min(p_grid)
 
     def __post_init__(self):
         if self.target_security_bits <= 0:
@@ -80,10 +81,6 @@ class OptimizerConfig:
     @property
     def resolution(self) -> Fraction:
         return self.m_resolution or Fraction(1, self.n0)
-
-    @property
-    def reference_p(self) -> int:
-        return self.p_ref or min(self.p_grid)
 
 
 @dataclass(frozen=True)
@@ -127,13 +124,13 @@ def _smallest_over(lo: int, hi: int, predicate) -> int:
     return lo
 
 
-def security_targets(target_bits: float, n0: int, p_ref: int,
-                     d_v_prime_max: int = 300, t_max: int = 600) -> tuple[int, int]:
+def security_targets(target_bits: float, n0: int, p_ref: int) -> tuple[int, int]:
     """Smallest (d_v', t) meeting the security target at the reference length.
 
-    d_v' is the smallest public column weight with DCA work factor >= target;
-    t the smallest intentional error count with ISDA work factor >= target.
-    Both are evaluated at n = n0 * p_ref, the conservative short length.
+    d_v' is the smallest public column weight in [1, D_V_PRIME_MAX] with DCA
+    work factor >= target; t the smallest intentional error count in
+    [1, T_MAX] with ISDA work factor >= target.  Both are evaluated at
+    n = n0 * p_ref, the conservative short length.
     """
     def dca_ok(v: int) -> bool:
         try:
@@ -147,7 +144,7 @@ def security_targets(target_bits: float, n0: int, p_ref: int,
         except ParameterError:
             return False  # e.g. w too small for any split weight
 
-    return _smallest_over(1, d_v_prime_max, dca_ok), _smallest_over(1, t_max, isda_ok)
+    return _smallest_over(1, D_V_PRIME_MAX, dca_ok), _smallest_over(1, T_MAX, isda_ok)
 
 
 def _snap_candidates(d_v_prime_target: int, d_v: int, n0: int,
@@ -180,8 +177,7 @@ def _snap_candidates(d_v_prime_target: int, d_v: int, n0: int,
 def optimize_design(cfg: OptimizerConfig) -> OptimizationReport:
     """Search candidate densities and return feasible designs sorted by C_log2."""
     lam = cfg.target_security_bits
-    p_ref = cfg.reference_p
-    d_v_prime_target, t = security_targets(lam, cfg.n0, p_ref)
+    d_v_prime_target, t = security_targets(lam, cfg.n0, min(cfg.p_grid))
     cap = m_star(d_v_prime_target, cfg.I)
 
     designs: list[DesignResult] = []

@@ -42,10 +42,11 @@ class TrialReport:
     ci_high: float
 
 
-def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials == 0:
         return 0.0, 1.0
+    z = 1.96  # two-sided 95% normal quantile
     phat = errors / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

@@ -10,10 +10,10 @@ p0 = t/n the channel error fraction, one evolution step reads
        + (1 - p0) * T(d_v - 1, b, r)            correct bit, spuriously flipped
 
 where T(d, b, x) is the binomial tail P[Binom(d, x) >= b].  The recursion
-must decrease monotonically below 1/n within the step budget; the reported
-threshold maximizes over decision thresholds b in [ceil(d_v/2), d_v], and
-the integer search over t is exponential-then-binary, using monotonicity
-of convergence in t.
+must decrease monotonically below 1/n within MAX_RECURSION_STEPS = 100
+steps; the reported threshold maximizes over decision thresholds b in
+[ceil(d_v/2), d_v], and the integer search over t is exponential-then-binary,
+using monotonicity of convergence in t.
 """
 
 from __future__ import annotations
@@ -29,21 +29,20 @@ from .errors import ParameterError
 __all__ = ["ThresholdQuery", "bf_threshold", "bf_threshold_detail",
            "threshold_table", "write_threshold_csv"]
 
+MAX_RECURSION_STEPS = 100
+
 
 @dataclass(frozen=True)
 class ThresholdQuery:
     n: int
     n0: int
     d_v: int
-    max_recursion_steps: int = 100
 
     def __post_init__(self):
         if self.n0 * self.d_v >= self.n:
             raise ParameterError("check degree n0*d_v must be below n")
         if self.d_v < 1 or self.n0 < 1:
             raise ParameterError("n0 and d_v must be positive")
-        if self.max_recursion_steps < 1:
-            raise ParameterError("max_recursion_steps must be positive")
 
 
 def binomial_tail(d: int, b: int, x: float) -> float:
@@ -93,11 +92,11 @@ def _t_max_for_b(n: int, d_c: int, d_v: int, b: int, max_steps: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _threshold_cached(n: int, n0: int, d_v: int, max_steps: int) -> tuple[int, int]:
+def _threshold_cached(n: int, n0: int, d_v: int) -> tuple[int, int]:
     d_c = n0 * d_v
     best_t, best_b = 0, math.ceil(d_v / 2)
     for b in range(math.ceil(d_v / 2), d_v + 1):
-        tm = _t_max_for_b(n, d_c, d_v, b, max_steps)
+        tm = _t_max_for_b(n, d_c, d_v, b, MAX_RECURSION_STEPS)
         if tm > best_t:
             best_t, best_b = tm, b
     return best_t, best_b
@@ -105,12 +104,12 @@ def _threshold_cached(n: int, n0: int, d_v: int, max_steps: int) -> tuple[int, i
 
 def bf_threshold(q: ThresholdQuery) -> int:
     """Maximum correctable error count, optimized over decision thresholds."""
-    return _threshold_cached(q.n, q.n0, q.d_v, q.max_recursion_steps)[0]
+    return _threshold_cached(q.n, q.n0, q.d_v)[0]
 
 
 def bf_threshold_detail(q: ThresholdQuery) -> tuple[int, int]:
     """(t_max, optimizing b)."""
-    return _threshold_cached(q.n, q.n0, q.d_v, q.max_recursion_steps)
+    return _threshold_cached(q.n, q.n0, q.d_v)
 
 
 def threshold_table(n0: int, d_v_values: Sequence[int],

@@ -10,7 +10,7 @@ agreement is meaningful.
 
 import numpy as np
 
-from qcmc.attacks import ELL_MAX, PS_MAX, IsdInstance, WfReport, isd_wf
+from qcmc.attacks import IsdInstance, WfReport, isd_wf
 from qcmc.errors import ParameterError
 from qcmc.gf2 import BitPolynomial, _cyclic_shift
 
@@ -142,8 +142,7 @@ def stern_search_iterations(G, w: int, ell: int, rng: np.random.RandomState,
     raise RuntimeError("stern search did not terminate")
 
 
-def isda_full_scan(n0: int, p: int, t: int,
-                   ps_max: int = PS_MAX, ell_max: int = ELL_MAX) -> WfReport:
+def isda_full_scan(n0: int, p: int, t: int) -> WfReport:
     """ISDA work factor by evaluating isd_wf at every shift count s in [1, p).
 
     Keeps the first strict minimum, so ties go to the smallest s; raises
@@ -157,7 +156,7 @@ def isda_full_scan(n0: int, p: int, t: int,
         if k >= n:
             break
         try:
-            rep = isd_wf(IsdInstance(n=n, k=k, w=t, n_targets=s), ps_max, ell_max)
+            rep = isd_wf(IsdInstance(n=n, k=k, w=t, n_targets=s))
         except ParameterError:
             continue
         if best is None or rep.log2_wf < best.log2_wf:

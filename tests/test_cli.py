@@ -1,7 +1,13 @@
 """Command-line interface: workflows, determinism, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import qcmc
 from qcmc.cli import main
 
 
@@ -130,6 +136,46 @@ def test_simulate_key_without_dv(workdir, capsys):
     code = main(["simulate", "--key", "nodv.sk", "--t", "2", "--trials", "5"])
     assert code == 2
     assert "error-category: ParameterError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "QCCT1\n",
+    "QCCT1\nn=abc\nabcd\n",
+    "QCCT1\nn=16\nzzzz\n",
+    "QCCT1\nn=16\nab\n",
+    "QCCT1\nn=16\nabcd00\n",
+], ids=["magic-only", "non-integer-n", "non-hex-payload", "payload-short",
+        "payload-long"])
+def test_inspect_malformed_ciphertext(workdir, capsys, text):
+    (workdir / "bad.ct").write_text(text)
+    assert main(["inspect", "--key", "bad.ct"]) == 2
+    assert "error-category: ParameterError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suffix", [".sk", ".pk"])
+@pytest.mark.parametrize("line, mutate", [
+    (0, lambda ln: "QCMC1 bogus"),
+    (3, lambda ln: "zz" + ln[2:]),
+], ids=["unknown-mode", "non-hex-block"])
+def test_inspect_malformed_key(workdir, capsys, suffix, line, mutate):
+    assert main(KEYGEN) == 0
+    lines = (workdir / f"toy{suffix}").read_text().splitlines()
+    lines[line] = mutate(lines[line])
+    (workdir / "bad.key").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["inspect", "--key", "bad.key"]) == 2
+    assert "error-category: ParameterError" in capsys.readouterr().err
+
+
+def test_threshold_ignores_qcmc_jobs_variable(tmp_path):
+    src_root = str(Path(qcmc.__file__).resolve().parent.parent)
+    env = {**os.environ, "QCMC_JOBS": "abc", "PYTHONPATH": os.pathsep.join(
+        filter(None, (src_root, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "qcmc.cli", "threshold", "--dv", "13",
+                           "--p-range", "12288"], capture_output=True, text=True,
+                          cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["n,d_v,b_opt,t_max", "12288,13,10,134"]
 
 
 def test_wf_isda_rejects_single_block(workdir, capsys):
