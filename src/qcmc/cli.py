@@ -31,15 +31,23 @@ DEFAULT_SEED = "00" * 32
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError as exc:
+        raise ParameterError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _parse_range(text: str) -> list[int]:
-    """Either comma-separated values or start:stop:step (stop inclusive)."""
-    if ":" in text:
+    """Either comma-separated values or start:stop:step (stop inclusive, step >= 1)."""
+    if ":" not in text:
+        return _parse_int_list(text)
+    try:
         start, stop, step = (int(x) for x in text.split(":"))
-        return list(range(start, stop + 1, step))
-    return _parse_int_list(text)
+    except ValueError as exc:
+        raise ParameterError(f"expected start:stop:step, got {text!r}") from exc
+    if step < 1:
+        raise ParameterError(f"range step must be at least 1, got {step}")
+    return list(range(start, stop + 1, step))
 
 
 def _decoder_config(args, params: SystemParams) -> DecoderConfig:
@@ -60,7 +68,10 @@ def _build_params(args) -> SystemParams:
             raise ParameterError(f"--W needs {n0 * n0} comma-separated integers")
         W = tuple(tuple(flat[i * n0:(i + 1) * n0]) for i in range(n0))
     else:
-        m = Fraction(args.m)
+        try:
+            m = Fraction(args.m)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParameterError(f"--m must be a number or fraction, got {args.m!r}") from exc
         sigma = m * args.n0
         if sigma.denominator != 1:
             raise ParameterError("--m times n0 must be an integer")

@@ -64,9 +64,7 @@ class PrivateKey:
     params: SystemParams
     h: ParityCheck
     S: QcMatrix
-    S_inv: QcMatrix
     Q: QcMatrix
-    Q_inv: QcMatrix
     seed: bytes
     mode: KeyMode
 
@@ -83,45 +81,27 @@ def random_error_vector(n: int, t: int, rng: SeedStream) -> np.ndarray:
     return e
 
 
-def sample_q(params: SystemParams, rng: SeedStream) -> QcMatrix:
-    """Random invertible Q with block (i, j) a weight-W[i][j] circulant."""
-    return _sample_q_with_inverse(params, rng)[0]
+def _sample_invertible(n: int, p: int, draw, what: str) -> tuple[QcMatrix, QcMatrix]:
+    """Invertible n x n block matrix with block (i, j) = draw(i, j), drawn row-major."""
+    for _ in range(KEYGEN_BUDGET):
+        mat = QcMatrix(n, n, p, tuple(tuple(draw(i, j) for j in range(n)) for i in range(n)))
+        try:
+            return mat, qc_invert(mat)
+        except SingularMatrixError:
+            continue
+    raise KeygenFailure(f"no invertible {what} within the sampling budget")
 
 
-def _sample_q_with_inverse(params: SystemParams, rng: SeedStream) -> tuple[QcMatrix, QcMatrix]:
+def _sample_q(params: SystemParams, rng: SeedStream) -> tuple[QcMatrix, QcMatrix]:
+    """Random invertible Q with block (i, j) a weight-W[i][j] circulant, and Q^-1."""
     if not pattern_det_gf2(params.W):
         raise ParameterError(
             "W mod 2 is singular over GF(2): no Q with these block weights "
             "is invertible (weight parity is a ring homomorphism)")
     p = params.p
-    for _ in range(KEYGEN_BUDGET):
-        blocks = tuple(
-            tuple(BitPolynomial.from_support(p, rng.sample_distinct(p, w)) if w
-                  else BitPolynomial.zero(p)
-                  for w in row)
-            for row in params.W
-        )
-        q = QcMatrix(params.n0, params.n0, p, blocks)
-        try:
-            return q, qc_invert(q)
-        except SingularMatrixError:
-            continue
-    raise KeygenFailure("no invertible Q within the sampling budget")
-
-
-def _sample_s_with_inverse(params: SystemParams, rng: SeedStream) -> tuple[QcMatrix, QcMatrix]:
-    k0, p = params.k0, params.p
-    for _ in range(KEYGEN_BUDGET):
-        blocks = tuple(
-            tuple(BitPolynomial(p, rng.poly_bits(p)) for _ in range(k0))
-            for _ in range(k0)
-        )
-        s = QcMatrix(k0, k0, p, blocks)
-        try:
-            return s, qc_invert(s)
-        except SingularMatrixError:
-            continue
-    raise KeygenFailure("no invertible S within the sampling budget")
+    return _sample_invertible(
+        params.n0, p,
+        lambda i, j: BitPolynomial.from_support(p, rng.sample_distinct(p, params.W[i][j])), "Q")
 
 
 def keygen(params: SystemParams, seed, mode: KeyMode = KeyMode.CLASSIC,
@@ -142,36 +122,33 @@ def keygen(params: SystemParams, seed, mode: KeyMode = KeyMode.CLASSIC,
 
     h = sampler(params, root.child("h"))
     g = systematic_generator(h)
-    n0, p = params.n0, params.p
-    identity_n0 = QcMatrix.identity(n0, p)
-    identity_k0 = QcMatrix.identity(params.k0, p)
+    k0, p = params.k0, params.p
 
     if mode is KeyMode.SYSTEMATIC and params.m == 1:
-        q, q_inv = identity_n0, identity_n0
-        s, s_inv = identity_k0, identity_k0
+        q, s = QcMatrix.identity(params.n0, p), QcMatrix.identity(k0, p)
         gp = g
     elif mode is KeyMode.SYSTEMATIC:
         q_rng = root.child("q")
         for _ in range(KEYGEN_BUDGET):
-            q, q_inv = _sample_q_with_inverse(params, q_rng)
+            q, q_inv = _sample_q(params, q_rng)
             m_mat = qc_mul(g, q_inv)
-            left = QcMatrix(params.k0, params.k0, p, tuple(
-                tuple(row[:params.k0]) for row in m_mat.blocks))
+            s = QcMatrix(k0, k0, p, tuple(tuple(row[:k0]) for row in m_mat.blocks))
             try:
-                s_inv = qc_invert(left)
+                s_inv = qc_invert(s)
             except SingularMatrixError:
                 continue
-            s = left
             gp = qc_mul(s_inv, m_mat)
             break
         else:
             raise KeygenFailure("no systematic form within the sampling budget")
     else:
-        q, q_inv = _sample_q_with_inverse(params, root.child("q"))
-        s, s_inv = _sample_s_with_inverse(params, root.child("s"))
+        q, q_inv = _sample_q(params, root.child("q"))
+        s_rng = root.child("s")
+        s, s_inv = _sample_invertible(
+            k0, p, lambda i, j: BitPolynomial(p, s_rng.poly_bits(p)), "S")
         gp = qc_mul(qc_mul(s_inv, g), q_inv)
 
-    sk = PrivateKey(params, h, s, s_inv, q, q_inv, seed_bytes, mode)
+    sk = PrivateKey(params, h, s, q, seed_bytes, mode)
     pk = PublicKey(params, gp, mode)
     return sk, pk
 
@@ -266,6 +243,12 @@ def _write_lines(path: str | os.PathLike, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_lines(path: str | os.PathLike) -> list[str]:
+    """The file's non-blank lines, stripped."""
+    with open(path) as fh:
+        return [ln.strip() for ln in fh if ln.strip()]
+
+
 def save_public_key(pk: PublicKey, path) -> None:
     params = pk.params
     lines = [f"{KEY_MAGIC} {pk.mode.value}", _params_line(params), _w_line(params)]
@@ -278,8 +261,7 @@ def save_public_key(pk: PublicKey, path) -> None:
 
 
 def load_public_key(path) -> PublicKey:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = _read_lines(path)
     params, mode, _, at = _parse_header(lines, KEY_MAGIC)
     polys = [BitPolynomial.from_hex(params.p, ln) for ln in lines[at:]]
     k0, n0, p = params.k0, params.n0, params.p
@@ -309,8 +291,7 @@ def save_private_key(sk: PrivateKey, path) -> None:
 
 
 def load_private_key(path) -> PrivateKey:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = _read_lines(path)
     params, mode, seed, at = _parse_header(lines, KEY_MAGIC)
     n0, k0, p = params.n0, params.k0, params.p
     expected = n0 + k0 * k0 + n0 * n0
@@ -324,8 +305,9 @@ def load_private_key(path) -> PrivateKey:
     q_blocks = tuple(tuple(rest[i * n0:(i + 1) * n0]) for i in range(n0))
     s = QcMatrix(k0, k0, p, s_blocks)
     q = QcMatrix(n0, n0, p, q_blocks)
-    return PrivateKey(params, h, s, qc_invert(s), q, qc_invert(q),
-                      seed or b"\x00" * 32, mode)
+    qc_invert(s)  # raises SingularMatrixError for a key whose S or Q is singular
+    qc_invert(q)
+    return PrivateKey(params, h, s, q, seed or b"\x00" * 32, mode)
 
 
 def save_ciphertext(c: np.ndarray, path) -> None:
@@ -335,8 +317,7 @@ def save_ciphertext(c: np.ndarray, path) -> None:
 
 
 def load_ciphertext(path) -> np.ndarray:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = _read_lines(path)
     if not lines or lines[0] != CT_MAGIC:
         raise ParameterError(f"not a {CT_MAGIC} file")
     try:

@@ -271,11 +271,6 @@ class QcMatrix:
             tuple(one if i == j else zero for j in range(n)) for i in range(n)
         ))
 
-    @classmethod
-    def zero(cls, rows0: int, cols0: int, p: int) -> "QcMatrix":
-        z = BitPolynomial.zero(p)
-        return cls(rows0, cols0, p, tuple(tuple(z for _ in range(cols0)) for _ in range(rows0)))
-
     @property
     def total_weight(self) -> int:
         return sum(blk.weight for row in self.blocks for blk in row)

@@ -62,7 +62,6 @@ class OptimizerConfig:
     I: float = 10.0
     alpha: float = 1.0
     d_v_candidates: tuple[int, ...] = DEFAULT_CANDIDATES
-    m_resolution: Fraction | None = None  # defaults to 1/n0
     p_grid: tuple[int, ...] = DEFAULT_P_GRID
 
     def __post_init__(self):
@@ -73,14 +72,6 @@ class OptimizerConfig:
         if any(d % 2 == 0 for d in self.d_v_candidates):
             raise ParameterError("d_v candidates must be odd: even-weight "
                                  "circulants are never invertible")
-        res = self.m_resolution
-        if res is not None and (res <= 0 or (res * self.n0).denominator != 1):
-            raise ParameterError("m_resolution must be a multiple of 1/n0 "
-                                 "so block weights stay integral")
-
-    @property
-    def resolution(self) -> Fraction:
-        return self.m_resolution or Fraction(1, self.n0)
 
 
 @dataclass(frozen=True)
@@ -103,12 +94,6 @@ class OptimizationReport:
 
     designs: tuple[DesignResult, ...]
     rejections: tuple[tuple[int, str], ...] = field(default_factory=tuple)
-
-    def __iter__(self):
-        return iter(self.designs)
-
-    def __len__(self):
-        return len(self.designs)
 
 
 def _smallest_over(lo: int, hi: int, predicate) -> int:
@@ -147,31 +132,23 @@ def security_targets(target_bits: float, n0: int, p_ref: int) -> tuple[int, int]
     return _smallest_over(1, D_V_PRIME_MAX, dca_ok), _smallest_over(1, T_MAX, isda_ok)
 
 
-def _snap_candidates(d_v_prime_target: int, d_v: int, n0: int,
-                     resolution: Fraction, cap: float) -> list[Fraction]:
-    """Grid values for m near d_v'/d_v, nearest first, realizable patterns only.
+def _snap_candidates(d_v_prime_target: int, d_v: int, n0: int, cap: float) -> list[Fraction]:
+    """Grid values m = sigma/n0 near d_v'/d_v, nearest first, realizable patterns only.
 
     Integer even m admits no invertible Q (see design.pattern_det_gf2), so
     those grid points are skipped; the remaining neighbors are tried in order
     of distance from the exact ratio until one survives re-verification.
     """
     raw = Fraction(d_v_prime_target, d_v)
-    grid_center = round(raw / resolution)
+    grid_center = round(raw * n0)
     out: list[tuple[Fraction, Fraction]] = []
-    for offset in range(int(2 / resolution) + 3):
-        for signed in ((offset, -offset) if offset else (0,)):
-            m = (grid_center + signed) * resolution
-            if m < 1 or m > cap:
-                continue
-            sigma = m * n0
-            if sigma.denominator != 1 or not realizable_sigma(n0, int(sigma)):
-                continue
-            out.append((abs(m - raw), m))
-    ordered: list[Fraction] = []
-    for _, m in sorted(out):
-        if m not in ordered:
-            ordered.append(m)
-    return ordered
+    for offset in range(2 * n0 + 3):
+        for sigma in ((grid_center + offset, grid_center - offset) if offset
+                      else (grid_center,)):
+            m = Fraction(sigma, n0)
+            if 1 <= m <= cap and realizable_sigma(n0, sigma):
+                out.append((abs(m - raw), m))
+    return [m for _, m in sorted(out)]
 
 
 def optimize_design(cfg: OptimizerConfig) -> OptimizationReport:
@@ -196,7 +173,7 @@ def optimize_design(cfg: OptimizerConfig) -> OptimizationReport:
 def _evaluate_candidate(cfg: OptimizerConfig, lam: float, d_v: int,
                         d_v_prime_target: int, t: int, cap: float):
     reason = "no realizable m on the grid"
-    for m in _snap_candidates(d_v_prime_target, d_v, cfg.n0, cfg.resolution, cap):
+    for m in _snap_candidates(d_v_prime_target, d_v, cfg.n0, cap):
         achieved_dvp = m * d_v
         sigma_w = m * cfg.n0
         t_prime = math.ceil(m * t)

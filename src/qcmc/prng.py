@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 
+from .errors import ParameterError
+
 
 def normalize_seed(seed) -> bytes:
     """Map an int, bytes, or hex string onto the canonical 32-byte seed."""
@@ -23,7 +25,10 @@ def normalize_seed(seed) -> bytes:
             raise ValueError("seed must be nonnegative")
         return (seed % (1 << 256)).to_bytes(32, "big")
     if isinstance(seed, str):
-        seed = bytes.fromhex(seed)
+        try:
+            seed = bytes.fromhex(seed)
+        except ValueError as exc:
+            raise ParameterError(f"seed must be hex, got {seed!r}") from exc
     if isinstance(seed, (bytes, bytearray)):
         seed = bytes(seed)
         if len(seed) == 32:

@@ -106,7 +106,7 @@ def run_trials(h: ParityCheck, cfg: DecoderConfig, t_err: int, trials: int,
 
     if jobs > 1 and len(lots) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_lot_star, lots))
+            results = list(pool.map(_run_lot, *zip(*lots)))
     else:
         results = [_run_lot(*args) for args in lots]
 
@@ -125,10 +125,6 @@ def run_trials(h: ParityCheck, cfg: DecoderConfig, t_err: int, trials: int,
         ci_low=lo,
         ci_high=hi,
     )
-
-
-def _run_lot_star(args):
-    return _run_lot(*args)
 
 
 def sweep_rows(h: ParityCheck, cfg: DecoderConfig, t_err_values: Sequence[int],

@@ -167,6 +167,43 @@ def test_inspect_malformed_key(workdir, capsys, suffix, line, mutate):
     assert "error-category: ParameterError" in capsys.readouterr().err
 
 
+KEYGEN_64 = ["keygen", "--n0", "2", "--p", "64", "--dv", "5", "--t", "2", "--out", "k"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--dv", "abc", "--p-range", "12288"],
+    ["wf", "--attack", "dca", "--p", "1024:2048:0", "--dvp", "20"],
+    ["wf", "--attack", "dca", "--p", "1024:2048:-1", "--dvp", "20"],
+    ["threshold", "--dv", "13", "--p-range", "1:2"],
+    ["optimize", "--security", "100", "--candidates", "15,x"],
+    KEYGEN_64 + ["--W", "1,x,0,1"],
+    KEYGEN_64 + ["--m", "abc"],
+    KEYGEN_64 + ["--m", "1/0"],
+    KEYGEN_64 + ["--seed", "zz"],
+], ids=["int-list", "step-zero", "step-negative", "two-part-range", "candidates",
+        "W", "m-text", "m-zero-denominator", "seed-not-hex"])
+def test_malformed_option_text_exits_2(workdir, capsys, argv):
+    assert main(argv) == 2
+    assert "error-category: ParameterError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("matrix", ["S", "Q"])
+def test_decrypt_rejects_singular_key_matrix(workdir, capsys, matrix):
+    assert main(KEYGEN) == 0
+    (workdir / "msg.bin").write_bytes(bytes(32))
+    assert main(["encrypt", "--pk", "toy.pk", "--in", "msg.bin",
+                 "--seed", "01", "--out", "msg.ct"]) == 0
+    # toy.sk: 3 header lines, n0 = 2 H blocks, k0 * k0 = 1 S block, n0 * n0 = 4 Q blocks
+    lines = (workdir / "toy.sk").read_text().splitlines()
+    for i in {"S": range(5, 6), "Q": range(6, 10)}[matrix]:
+        lines[i] = "0" * len(lines[i])
+    (workdir / "bad.sk").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["decrypt", "--sk", "bad.sk", "--in", "msg.ct", "--out", "msg.out"])
+    assert code == 1
+    assert "error-category: SingularMatrixError" in capsys.readouterr().err
+
+
 def test_threshold_ignores_qcmc_jobs_variable(tmp_path):
     src_root = str(Path(qcmc.__file__).resolve().parent.parent)
     env = {**os.environ, "QCMC_JOBS": "abc", "PYTHONPATH": os.pathsep.join(

@@ -1,13 +1,15 @@
 """Key generation, encryption, decryption, serialization, failure modes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from oracles import gf2_inv, gf2_matmul
-from qcmc.crypto import (KeyMode, decrypt, encrypt, keygen, load_ciphertext,
+from qcmc.crypto import (KeyMode, _sample_q, decrypt, encrypt, keygen, load_ciphertext,
                          load_private_key, load_public_key, public_parity_check,
-                         random_error_vector, sample_q, save_ciphertext,
-                         save_private_key, save_public_key)
+                         random_error_vector, save_ciphertext, save_private_key,
+                         save_public_key)
 from qcmc.decoder import Algorithm, DecoderConfig
 from qcmc.design import SystemParams, systematic_generator
 from qcmc.errors import DecodingFailure, ParameterError
@@ -26,14 +28,14 @@ def random_message(k, seed):
 
 class TestSampleQ:
     def test_block_weights_follow_pattern(self, toy_params):
-        q = sample_q(toy_params, SeedStream(5, "q"))
+        q, _ = _sample_q(toy_params, SeedStream(5, "q"))
         for i in range(toy_params.n0):
             for j in range(toy_params.n0):
                 assert q.blocks[i][j].weight == toy_params.W[i][j]
 
     def test_permutation_pattern_gives_monomial_blocks(self):
         params = SystemParams.make(4, 32, 3, 1)  # W = identity pattern, m = 1
-        q = sample_q(params, SeedStream(6, "q"))
+        q, _ = _sample_q(params, SeedStream(6, "q"))
         for i in range(4):
             for j in range(4):
                 assert q.blocks[i][j].weight == (1 if i == j else 0)
@@ -47,7 +49,7 @@ class TestSampleQ:
         # mod-2 pattern immediately instead of burning the budget
         params = SystemParams(2, 32, 3, ((1, 1), (1, 1)), 1)
         with pytest.raises(ParameterError):
-            sample_q(params, SeedStream(7, "q"))
+            _sample_q(params, SeedStream(7, "q"))
 
 
 class TestKeygen:
@@ -57,6 +59,20 @@ class TestKeygen:
         prod = qc_mul(pk.Gp, qc_transpose(hp))
         assert all(blk.bits == 0 for row in prod.blocks for blk in row)
 
+    # SHA-256 of the .sk and .pk files for seed 77; a change in sampling
+    # order or file format shows up here
+    GOLDEN = [
+        (SystemParams.make(2, 256, 5, 2, sigma_w=6), KeyMode.CLASSIC,
+         "a00f6f03e0f5b3018d32824e0ec4d86377350f31d6a1d17cb1d79966f0673c21",
+         "e0c9618bdd18c0be273395e86cd22eb66f2660c4f14dd50284034af022d7a83d"),
+        (SystemParams.make(2, 64, 5, 2, sigma_w=6), KeyMode.SYSTEMATIC,
+         "234cdde9b929578a8b2570b544c19b2179db62bb01950336ff43518f55353f4a",
+         "8c1b40ee74982263ae82ad8db1067dd38ba3ef33ffd84253a385994ed0010b38"),
+        (SystemParams.make(2, 64, 5, 2), KeyMode.SYSTEMATIC,  # m = 1
+         "a6aafc05410a9c5059c8049dbe7d05817b2e9a57104cfffbae391e5af8247011",
+         "97327e43318e6eff70c086d8aa1075c930e3a0d40de61eed44ae9269f9eb1f2b"),
+    ]
+
     def test_deterministic(self, toy_params, tmp_path):
         sk1, pk1 = keygen(toy_params, 77)
         sk2, pk2 = keygen(toy_params, 77)
@@ -64,6 +80,12 @@ class TestKeygen:
         save_public_key(pk1, tmp_path / "a.pk")
         save_public_key(pk2, tmp_path / "b.pk")
         assert (tmp_path / "a.pk").read_bytes() == (tmp_path / "b.pk").read_bytes()
+        for params, mode, sk_digest, pk_digest in self.GOLDEN:
+            sk, pk = keygen(params, 77, mode)
+            save_private_key(sk, tmp_path / "g.sk")
+            save_public_key(pk, tmp_path / "g.pk")
+            assert hashlib.sha256((tmp_path / "g.sk").read_bytes()).hexdigest() == sk_digest
+            assert hashlib.sha256((tmp_path / "g.pk").read_bytes()).hexdigest() == pk_digest
 
     def test_dense_oracle_full_pipeline(self):
         # classic mode at p=8: G' = S^-1 G Q^-1 checked against dense algebra

@@ -85,11 +85,6 @@ class TestSecurityTargets:
 
 
 class TestOptimizerConfig:
-    def test_resolution_must_fit_block_weights(self):
-        with pytest.raises(ParameterError):
-            OptimizerConfig(100, n0=4, m_resolution=Fraction(1, 8))
-        OptimizerConfig(100, n0=4, m_resolution=Fraction(1, 2))
-
     def test_basic_validation(self):
         with pytest.raises(ParameterError):
             OptimizerConfig(0)
