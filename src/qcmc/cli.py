@@ -183,7 +183,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_inspect(args) -> int:
     path = args.key
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:  # the loaders reject a file that is not text
         first = fh.readline().split()
     if first[:1] == [crypto.CT_MAGIC]:
         c = crypto.load_ciphertext(path)

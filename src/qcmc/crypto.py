@@ -244,9 +244,12 @@ def _write_lines(path: str | os.PathLike, lines: list[str]) -> None:
 
 
 def _read_lines(path: str | os.PathLike) -> list[str]:
-    """The file's non-blank lines, stripped."""
-    with open(path) as fh:
-        return [ln.strip() for ln in fh if ln.strip()]
+    """The file's non-blank lines, stripped; ParameterError if it is not text."""
+    try:
+        with open(path) as fh:
+            return [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path} is not a text file") from exc
 
 
 def save_public_key(pk: PublicKey, path) -> None:

@@ -2,9 +2,10 @@
 
 All decoders work directly on the circulant supports, never on an expanded
 matrix.  For a block row H = [H_0 | ... | H_{n0-1}] with supports supp_i,
-check s involves variable (i, j) exactly when j = (s + l) mod p for some
-l in supp_i, so syndromes and per-bit unsatisfied-check counts reduce to
-gathers through two precomputed index tables of shape (n0, d_v, p).
+check s involves variable (i, j) exactly when j = (s + a) mod p for some
+a in supp_i.  So each edge class (i, a) is one cyclic rotation of a length-p
+row, by a from variables to checks and by (p - a) mod p back.  Syndromes,
+unsatisfied-check counts and SPA messages all go through that one rotation.
 
 Decoders are pure: inputs are never modified, and identical
 (inputs, config) always produce identical outcomes.
@@ -64,51 +65,42 @@ class DecodeOutcome:
     iterations_used: int
 
 
-class _TannerIndex:
-    """Gather tables tying check indices to variable indices per block."""
-
-    def __init__(self, h: ParityCheck):
-        n0, p, d_v = h.params.n0, h.params.p, h.params.d_v
-        self.n0, self.p, self.d_v = n0, p, d_v
-        supp = np.array([blk.support for blk in h.blocks], dtype=np.int64)
-        js = np.arange(p, dtype=np.int64)
-        # to_check[i, l, s] = variable position (s + supp_il) % p feeding check s
-        self.to_check = (js[None, None, :] + supp[:, :, None]) % p
-        # to_var[i, l, j] = check position (j - supp_il) % p watching variable j
-        self.to_var = (js[None, None, :] - supp[:, :, None]) % p
-        self.block_axis = np.arange(n0).reshape(n0, 1, 1)
-        self.edge_axis = np.arange(d_v).reshape(1, d_v, 1)
-
-    def syndrome(self, v_blocks: np.ndarray) -> np.ndarray:
-        """H v^T over GF(2); v_blocks has shape (n0, p)."""
-        gathered = v_blocks[self.block_axis, self.to_check]
-        return (gathered.sum(axis=(0, 1), dtype=np.int64) & 1).astype(np.uint8)
-
-    def unsatisfied_counts(self, synd: np.ndarray) -> np.ndarray:
-        """Per-variable count of unsatisfied checks, shape (n0, p)."""
-        return synd[self.to_var].sum(axis=1, dtype=np.int64)
-
-    def spread_to_edges(self, var_blocks: np.ndarray) -> np.ndarray:
-        """Per-variable data -> per-edge view indexed by check, shape (n0, d_v, p)."""
-        return var_blocks[self.block_axis, self.to_check]
-
-    def collect_at_vars(self, edge_vals: np.ndarray) -> np.ndarray:
-        """Sum per-edge data (indexed by check) at each variable, shape (n0, p)."""
-        return edge_vals[self.block_axis, self.edge_axis, self.to_var].sum(axis=1)
+def _rotate(rows: np.ndarray, shifts) -> np.ndarray:
+    """out[i, l, s] = rows[i, l, (s + shifts[i][l]) % p]; a length-1 axis of rows broadcasts."""
+    p = rows.shape[-1]
+    shape = (len(shifts), len(shifts[0]))
+    doubled = np.broadcast_to(np.concatenate([rows, rows], axis=-1), shape + (2 * p,))
+    out = np.empty(shape + (p,), dtype=rows.dtype)
+    for i, row_shifts in enumerate(shifts):
+        for l, a in enumerate(row_shifts):
+            out[i, l] = doubled[i, l, a:a + p]
+    return out
 
 
 @lru_cache(maxsize=8)
-def _index_for(h: ParityCheck) -> _TannerIndex:
-    return _TannerIndex(h)
+def _index_for(h: ParityCheck) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Rotation shifts (to checks, to variables), each of shape (n0, d_v)."""
+    p = h.params.p
+    to_check = tuple(blk.support for blk in h.blocks)
+    return to_check, tuple(tuple((p - a) % p for a in supp) for supp in to_check)
+
+
+def _syndrome(to_check, v_blocks: np.ndarray) -> np.ndarray:
+    edges = _rotate(v_blocks[:, None, :], to_check)
+    return (edges.sum(axis=(0, 1), dtype=np.int64) & 1).astype(np.uint8)
+
+
+def _checked_word(h: ParityCheck, v) -> np.ndarray:
+    """v as a uint8 array; ParameterError unless its length is n."""
+    v = np.asarray(v, dtype=np.uint8)
+    if v.shape != (h.params.n,):
+        raise ParameterError(f"word length must be {h.params.n}")
+    return v
 
 
 def syndrome(h: ParityCheck, v: np.ndarray) -> np.ndarray:
     """Syndrome of a length-n word against the sparse private matrix."""
-    params = h.params
-    v = np.asarray(v, dtype=np.uint8)
-    if v.shape != (params.n,):
-        raise ParameterError(f"word length must be {params.n}")
-    return _index_for(h).syndrome(v.reshape(params.n0, params.p))
+    return _syndrome(_index_for(h)[0], _checked_word(h, v).reshape(h.params.n0, h.params.p))
 
 
 def decode_bf(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> DecodeOutcome:
@@ -125,20 +117,17 @@ def decode_bf(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> Decod
     if cfg.algorithm is Algorithm.BF_FIXED:
         if not math.ceil(params.d_v / 2) <= cfg.b <= params.d_v:
             raise ParameterError("b must lie in [ceil(d_v/2), d_v]")
-    received = np.asarray(received, dtype=np.uint8)
-    if received.shape != (params.n,):
-        raise ParameterError(f"word length must be {params.n}")
-
-    idx = _index_for(h)
+    received = _checked_word(h, received)
+    to_check, to_var = _index_for(h)
     v = received.reshape(params.n0, params.p).copy()
-    synd = idx.syndrome(v)
+    synd = _syndrome(to_check, v)
     if not synd.any():
         return DecodeOutcome(True, np.zeros(params.n, dtype=np.uint8), 0)
 
     iterations = 0
     success = False
     for iterations in range(1, cfg.max_iterations + 1):
-        upc = idx.unsatisfied_counts(synd)
+        upc = _rotate(synd[None, None, :], to_var).sum(axis=1, dtype=np.int64)
         if cfg.algorithm is Algorithm.BF_FIXED:
             threshold = cfg.b
         else:
@@ -147,7 +136,7 @@ def decode_bf(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> Decod
         if not flips.any():
             break
         v ^= flips.astype(np.uint8)
-        synd = idx.syndrome(v)
+        synd = _syndrome(to_check, v)
         if not synd.any():
             success = True
             break
@@ -166,19 +155,16 @@ def decode_spa(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> Deco
     if cfg.p0 is None:
         raise ParameterError("SPA needs an assumed channel error fraction p0")
     params = h.params
-    received = np.asarray(received, dtype=np.uint8)
-    if received.shape != (params.n,):
-        raise ParameterError(f"word length must be {params.n}")
-
-    idx = _index_for(h)
+    received = _checked_word(h, received)
+    to_check, to_var = _index_for(h)
     rec_blocks = received.reshape(params.n0, params.p)
-    synd = idx.syndrome(rec_blocks)
+    synd = _syndrome(to_check, rec_blocks)
     if not synd.any():
         return DecodeOutcome(True, np.zeros(params.n, dtype=np.uint8), 0)
 
     llr0 = math.log((1.0 - cfg.p0) / cfg.p0)
     channel = llr0 * (1.0 - 2.0 * rec_blocks.astype(np.float64))
-    v2c = idx.spread_to_edges(channel)
+    v2c = _rotate(channel[:, None, :], to_check)
 
     success = False
     iterations = 0
@@ -189,13 +175,13 @@ def decode_spa(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> Deco
         safe = np.where(np.abs(tnh) < 1e-30, np.copysign(1e-30, tnh), tnh)
         ratio = np.clip(prod[None, None, :] / safe, -1.0 + 1e-14, 1.0 - 1e-14)
         c2v = np.clip(2.0 * np.arctanh(ratio), -LLR_CLAMP, LLR_CLAMP)
-        total = channel + idx.collect_at_vars(c2v)
+        total = channel + _rotate(c2v, to_var).sum(axis=1)
         hard = (total < 0.0).astype(np.uint8)
-        synd = idx.syndrome(hard)
+        synd = _syndrome(to_check, hard)
         if not synd.any():
             success = True
             break
-        v2c = np.clip(idx.spread_to_edges(total) - c2v, -LLR_CLAMP, LLR_CLAMP)
+        v2c = np.clip(_rotate(total[:, None, :], to_check) - c2v, -LLR_CLAMP, LLR_CLAMP)
     return DecodeOutcome(success, (hard.reshape(-1) ^ received), iterations)
 
 

@@ -65,10 +65,10 @@ class OptimizerConfig:
     p_grid: tuple[int, ...] = DEFAULT_P_GRID
 
     def __post_init__(self):
-        if self.target_security_bits <= 0:
-            raise ParameterError("security target must be positive")
-        if self.I < 1 or self.alpha < 1:
-            raise ParameterError("I and alpha must be at least 1")
+        if not 0 < self.target_security_bits < math.inf:
+            raise ParameterError("security target must be positive and finite")
+        if not (1 <= self.I < math.inf and 1 <= self.alpha < math.inf):
+            raise ParameterError("I and alpha must be finite and at least 1")
         if any(d % 2 == 0 for d in self.d_v_candidates):
             raise ParameterError("d_v candidates must be odd: even-weight "
                                  "circulants are never invertible")

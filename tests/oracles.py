@@ -1,16 +1,19 @@
 """Independent oracles for tests: dense GF(2) linear algebra, plain polynomial
 division over GF(2), the shift-xor ring product, a small executable Stern
-search, and the full ISDA shift-count scan.
+search, the full ISDA shift-count scan, and Tanner-graph gathers through
+explicit index tables.
 
 Everything here is deliberately separate from the package implementation:
 dense matrices instead of ring arithmetic, schoolbook algorithms instead of
-packed-bit tricks or FFTs, an exhaustive scan instead of branch-and-bound, so
-agreement is meaningful.
+packed-bit tricks or FFTs, an exhaustive scan instead of branch-and-bound,
+fancy-index gathers instead of circulant rotations, so agreement is
+meaningful.
 """
 
 import numpy as np
 
 from qcmc.attacks import IsdInstance, WfReport, isd_wf
+from qcmc.design import ParityCheck
 from qcmc.errors import ParameterError
 from qcmc.gf2 import BitPolynomial, _cyclic_shift
 
@@ -164,3 +167,36 @@ def isda_full_scan(n0: int, p: int, t: int) -> WfReport:
     if best is None:
         raise ParameterError("no feasible shift count for this instance")
     return best
+
+
+class TannerGather:
+    """Gather tables tying check indices to variable indices per block."""
+
+    def __init__(self, h: ParityCheck):
+        n0, p, d_v = h.params.n0, h.params.p, h.params.d_v
+        self.n0, self.p, self.d_v = n0, p, d_v
+        supp = np.array([blk.support for blk in h.blocks], dtype=np.int64)
+        js = np.arange(p, dtype=np.int64)
+        # to_check[i, l, s] = variable position (s + supp_il) % p feeding check s
+        self.to_check = (js[None, None, :] + supp[:, :, None]) % p
+        # to_var[i, l, j] = check position (j - supp_il) % p watching variable j
+        self.to_var = (js[None, None, :] - supp[:, :, None]) % p
+        self.block_axis = np.arange(n0).reshape(n0, 1, 1)
+        self.edge_axis = np.arange(d_v).reshape(1, d_v, 1)
+
+    def syndrome(self, v_blocks: np.ndarray) -> np.ndarray:
+        """H v^T over GF(2); v_blocks has shape (n0, p)."""
+        gathered = v_blocks[self.block_axis, self.to_check]
+        return (gathered.sum(axis=(0, 1), dtype=np.int64) & 1).astype(np.uint8)
+
+    def unsatisfied_counts(self, synd: np.ndarray) -> np.ndarray:
+        """Per-variable count of unsatisfied checks, shape (n0, p)."""
+        return synd[self.to_var].sum(axis=1, dtype=np.int64)
+
+    def spread_to_edges(self, var_blocks: np.ndarray) -> np.ndarray:
+        """Per-variable data -> per-edge view indexed by check, shape (n0, d_v, p)."""
+        return var_blocks[self.block_axis, self.to_check]
+
+    def collect_at_vars(self, edge_vals: np.ndarray) -> np.ndarray:
+        """Sum per-edge data (indexed by check) at each variable, shape (n0, p)."""
+        return edge_vals[self.block_axis, self.edge_axis, self.to_var].sum(axis=1)

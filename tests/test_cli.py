@@ -187,6 +187,28 @@ def test_malformed_option_text_exits_2(workdir, capsys, argv):
     assert "error-category: ParameterError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--I", "--alpha", "--security"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_optimize_rejects_non_finite_settings(workdir, capsys, option, value):
+    # a repeated option takes its last value, so this also covers --security
+    assert main(["optimize", "--security", "100", option, value]) == 2
+    assert "error-category: ParameterError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["inspect", "--key", "bin.sk"],
+    ["decrypt", "--sk", "toy.sk", "--in", "bin.ct", "--out", "msg.out"],
+    ["simulate", "--key", "bin.sk", "--t", "2", "--trials", "5"],
+], ids=["inspect-key", "decrypt-in", "simulate-key"])
+def test_non_text_file_exits_2(workdir, capsys, argv):
+    assert main(KEYGEN) == 0
+    for name in ("bin.sk", "bin.ct"):
+        (workdir / name).write_bytes(b"\xff\xfe\x00\x01" + bytes(range(256)))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "error-category: ParameterError" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("matrix", ["S", "Q"])
 def test_decrypt_rejects_singular_key_matrix(workdir, capsys, matrix):
     assert main(KEYGEN) == 0

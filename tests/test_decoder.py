@@ -1,10 +1,14 @@
-"""Decoder correctness: syndromes, provable BF cases, SPA behavior, purity."""
+"""Decoder correctness: syndromes, provable BF cases, SPA behavior, purity,
+the rotation kernel against index-table gathers, pinned decoder outcomes."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from oracles import gf2_matmul
-from qcmc.decoder import Algorithm, DecoderConfig, decode, decode_bf, decode_spa, syndrome
+from oracles import TannerGather, gf2_matmul
+from qcmc.decoder import (Algorithm, DecoderConfig, _index_for, _rotate, decode, decode_bf,
+                          decode_spa, syndrome)
 from qcmc.design import SystemParams, sample_h_random, systematic_generator
 from qcmc.errors import ParameterError
 from qcmc.gf2 import qc_vec_mul
@@ -162,3 +166,97 @@ class TestDispatch:
         spa = decode(rdf_h, e, DecoderConfig(Algorithm.SPA, p0=0.01))
         bfv = decode(rdf_h, e, DecoderConfig(Algorithm.BF_VARIABLE))
         assert spa.success and bfv.success
+
+
+@pytest.fixture(scope="module")
+def qc_h():
+    """A random (n0, p, d_v) = (4, 4096, 15) code, the shape of the 100-bit design."""
+    return sample_h_random(SystemParams.make(4, 4096, 15, 47), SeedStream(0x41, "pinned-h"))
+
+
+@pytest.fixture(scope="module")
+def mdpc_h():
+    """The d_v = 85 MDPC code of the mc-mdpc benchmark workload."""
+    return sample_h_random(SystemParams.make(4, 6272, 85, 68), SeedStream(0x8D, "mdpc"))
+
+
+class TestRotationKernel:
+    """Every edge pass the decoders make equals the index-table gather exactly."""
+
+    @pytest.fixture(scope="class", params=["toy_h", "rdf_h", "qc_h", "mdpc_h"])
+    def code(self, request):
+        h = request.getfixturevalue(request.param)
+        return h, _index_for(h), TannerGather(h)
+
+    def test_syndrome(self, code):
+        h, _, gather = code
+        rng = np.random.RandomState(11)
+        for _ in range(3):
+            v = rng.randint(0, 2, h.params.n).astype(np.uint8)
+            expected = gather.syndrome(v.reshape(h.params.n0, h.params.p))
+            assert np.array_equal(syndrome(h, v), expected)
+
+    def test_unsatisfied_counts(self, code):
+        h, (_, to_var), gather = code
+        synd = np.random.RandomState(12).randint(0, 2, h.params.p).astype(np.uint8)
+        upc = _rotate(synd[None, None, :], to_var).sum(axis=1, dtype=np.int64)
+        expected = gather.unsatisfied_counts(synd)
+        assert upc.dtype == expected.dtype and np.array_equal(upc, expected)
+
+    def test_spread_to_edges(self, code):
+        h, (to_check, _), gather = code
+        var_blocks = np.random.RandomState(13).standard_normal((h.params.n0, h.params.p))
+        assert np.array_equal(_rotate(var_blocks[:, None, :], to_check),
+                              gather.spread_to_edges(var_blocks))
+
+    def test_collect_at_vars(self, code):
+        h, (_, to_var), gather = code
+        pr = h.params
+        edge_vals = np.random.RandomState(14).standard_normal((pr.n0, pr.d_v, pr.p))
+        assert np.array_equal(_rotate(edge_vals, to_var).sum(axis=1),
+                              gather.collect_at_vars(edge_vals))
+
+
+# (code, algorithm, t, max_iterations, success, iterations_used, sha256 of error_estimate)
+# for the word weight_t_error(n, t, t), recorded with the index-table gather decoder.
+# BF_FIXED uses b = 11 on qc_h and b = 50 on mdpc_h; SPA uses p0 = t / n.
+PINNED = [
+    ("qc_h", "spa", 200, 20, True, 6,
+     "23e85a9e2dfc38555ecd888788b04fe3e608311a4fb9150957fd9bf1a561bb32"),
+    ("qc_h", "spa", 230, 20, False, 20,
+     "39fbce05838ac7628a1c04c76e13621740cdae0c1f1886304311753d33960f8a"),
+    ("qc_h", "bf", 100, 20, True, 3,
+     "13174e5f457f094526771a3fa45afbe9abd171ccbc6721bfedab862fb5c08be0"),
+    ("qc_h", "bf", 200, 20, False, 4,
+     "ef0e236a04fe6f56dde254ea342d9ca882333b0437982abf33d2cb4801aee4aa"),
+    ("qc_h", "bfv", 100, 40, True, 26,
+     "13174e5f457f094526771a3fa45afbe9abd171ccbc6721bfedab862fb5c08be0"),
+    ("qc_h", "bfv", 160, 12, False, 12,
+     "100b6c8f932f15f52b193d6cecf5a7a0bc66c52537a1032de54079ac502357d9"),
+    ("mdpc_h", "spa", 68, 12, True, 3,
+     "852e373715b320b4a3c7635ea5e34fe129ed7d1efa546c9c274d4927f3a76892"),
+    ("mdpc_h", "spa", 90, 8, False, 8,
+     "afc3f77e19dc0bd3fd9f1e58a4eca7812772c74367262f82ce8aeaba77cd1fc7"),
+    ("mdpc_h", "bf", 40, 12, True, 2,
+     "eb267628a130a573f3d4bb19a1e3f0de73c17f288ba268ac95c31791a71e159c"),
+    ("mdpc_h", "bf", 100, 12, False, 12,
+     "9ddaa8ac10c821c554795e7efb0a7f4a774c2682c3272934bf4e23ad22ab58ce"),
+    ("mdpc_h", "bfv", 10, 12, True, 8,
+     "17065631dcd385701053d6d533ec1714e80c5f370bbb8df7e2a5d17dd957e2d0"),
+    ("mdpc_h", "bfv", 30, 12, False, 12,
+     "887ad7b9b89ee82d3cfeace9656c423c7ed64b4c439e8e1322e856f8a99e3dd0"),
+]
+
+
+@pytest.mark.parametrize("code, alg, t, cap, success, iterations, digest", PINNED,
+                         ids=[f"{c[:-2]}-{a}-t{t}" for c, a, t, *_ in PINNED])
+def test_pinned_outcomes(request, code, alg, t, cap, success, iterations, digest):
+    h = request.getfixturevalue(code)
+    n = h.params.n
+    algorithm = Algorithm(alg)
+    b = {"qc_h": 11, "mdpc_h": 50}[code] if algorithm is Algorithm.BF_FIXED else None
+    cfg = DecoderConfig(algorithm, max_iterations=cap, b=b,
+                        p0=t / n if algorithm is Algorithm.SPA else None)
+    out = decode(h, weight_t_error(n, t, t), cfg)
+    assert (out.success, hashlib.sha256(out.error_estimate.tobytes()).hexdigest(),
+            out.iterations_used) == (success, digest, iterations)
