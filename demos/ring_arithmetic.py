@@ -42,7 +42,7 @@ print(f"hex serialization of a: {a.to_hex()}  ({(p + 7) // 8} bytes, little-endi
 
 rng = SeedStream(2024, "demo")
 while True:  # random block matrices are singular now and then: resample
-    blocks = [[BitPolynomial(p, rng.poly_bits(p)) for _ in range(2)] for _ in range(2)]
+    blocks = [[BitPolynomial(p, rng.take_bits(p)) for _ in range(2)] for _ in range(2)]
     A = QcMatrix.from_blocks(blocks)
     try:
         A_inv = qc_invert(A)

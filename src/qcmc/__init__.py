@@ -5,14 +5,13 @@ bit-flipping decoding thresholds, attack work-factor estimation, decryption
 complexity optimization, the cryptosystem itself, and a Monte Carlo harness.
 """
 
-from .attacks import (IsdInstance, WfReport, dca_wf, dca_wf_at, h_enumeration_wf,
-                      isd_wf, isda_wf, isda_wf_at, q_space_size)
+from .attacks import (IsdInstance, WfReport, dca_wf_at, h_enumeration_wf, isd_wf,
+                      isda_wf_at, q_space_size)
 from .crypto import (KeyMode, PrivateKey, PublicKey, decrypt, encrypt, keygen,
                      load_ciphertext, load_private_key, load_public_key,
                      public_parity_check, save_ciphertext, save_private_key,
                      save_public_key)
-from .decoder import (Algorithm, DecodeOutcome, DecoderConfig, decode, decode_bf,
-                      decode_spa, syndrome)
+from .decoder import Algorithm, DecodeOutcome, DecoderConfig, decode, syndrome
 from .design import (ParityCheck, SystemParams, sample_h_random, sample_h_rdf,
                      systematic_generator, weight_matrix)
 from .errors import (DecodingFailure, DesignFailure, KeygenFailure,

@@ -65,7 +65,7 @@ from .errors import ParameterError
 
 __all__ = [
     "IsdInstance", "WfReport", "isd_wf", "isd_success_probability",
-    "dca_wf", "dca_wf_at", "isda_wf", "isda_wf_at",
+    "dca_wf_at", "isda_wf_at",
     "q_space_size", "h_enumeration_wf", "dca_table", "isda_table",
 ]
 
@@ -188,11 +188,6 @@ def dca_wf_at(n0: int, p: int, d_v_prime) -> WfReport:
     return isd_wf(IsdInstance(n=n0 * p, k=p, w=w, n_targets=p))
 
 
-def dca_wf(params) -> WfReport:
-    """Dual-code attack work factor for full system parameters."""
-    return dca_wf_at(params.n0, params.p, params.d_v_prime)
-
-
 def _isda_bound(n: int, k0: int, t: int, s_lo: int, s_hi: int,
                 ps_max: int, ell_max: int) -> float:
     """Lower bound on the ISDA log2 work factor for every s in [s_lo, s_hi].
@@ -244,11 +239,6 @@ def isda_wf_at(n0: int, p: int, t: int) -> WfReport:
     if n0 < 2:
         raise ParameterError("need n0 >= 2 circulant blocks")
     return _isda_cached(n0, p, t)
-
-
-def isda_wf(params) -> WfReport:
-    """ISDA work factor for full system parameters."""
-    return isda_wf_at(params.n0, params.p, params.t)
 
 
 def q_space_size(p: int, n0: int) -> float:

@@ -20,7 +20,7 @@ from . import crypto
 from .attacks import dca_table, isda_table, write_wf_csv
 from .decoder import Algorithm, DecoderConfig
 from .design import SystemParams, weight_matrix
-from .errors import ParameterError, QcmcError
+from .errors import DesignFailure, ParameterError, QcmcError
 from .optimize import (OptimizerConfig, design_rows, optimize_design,
                        write_design_csv, DESIGN_FIELDS)
 from .prng import SeedStream
@@ -30,11 +30,18 @@ from .threshold import threshold_table, write_threshold_csv
 DEFAULT_SEED = "00" * 32
 
 
+def _nonempty(values: list[int], text: str) -> list[int]:
+    if not values:
+        raise ParameterError(f"no values in {text!r}")
+    return values
+
+
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x]
+        values = [int(x) for x in text.split(",") if x]
     except ValueError as exc:
         raise ParameterError(f"expected comma-separated integers, got {text!r}") from exc
+    return _nonempty(values, text)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -47,17 +54,12 @@ def _parse_range(text: str) -> list[int]:
         raise ParameterError(f"expected start:stop:step, got {text!r}") from exc
     if step < 1:
         raise ParameterError(f"range step must be at least 1, got {step}")
-    return list(range(start, stop + 1, step))
+    return _nonempty(list(range(start, stop + 1, step)), text)
 
 
-def _decoder_config(args, params: SystemParams) -> DecoderConfig:
-    algo = {"bf": Algorithm.BF_FIXED, "bfv": Algorithm.BF_VARIABLE,
-            "spa": Algorithm.SPA}[args.decoder]
-    b = args.b
-    if algo is Algorithm.BF_FIXED and b is None:
-        b = params.d_v  # safe default: unanimous-vote flips
-    p0 = params.error_fraction if algo is Algorithm.SPA else None
-    return DecoderConfig(algo, max_iterations=args.max_iter, b=b, delta=args.delta, p0=p0)
+def _decoder_config(args) -> DecoderConfig:
+    """b and p0 stay None: the decoder takes them from the key's code."""
+    return DecoderConfig(Algorithm(args.decoder), max_iterations=args.max_iter, b=args.b)
 
 
 def _build_params(args) -> SystemParams:
@@ -113,7 +115,7 @@ def cmd_encrypt(args) -> int:
 def cmd_decrypt(args) -> int:
     sk = crypto.load_private_key(args.sk)
     c = crypto.load_ciphertext(args.infile)
-    cfg = _decoder_config(args, sk.params)
+    cfg = _decoder_config(args)
     u = crypto.decrypt(sk, c, cfg)
     data = np.packbits(u, bitorder="little").tobytes()
     with open(args.out, "wb") as fh:
@@ -163,12 +165,14 @@ def cmd_optimize(args) -> int:
         print("  ".join(str(row[f]).rjust(widths[f]) for f in DESIGN_FIELDS))
     for d_v, reason in report.rejections:
         print(f"rejected d_v={d_v}: {reason}")
-    return 0 if rows else 1
+    if not rows:
+        raise DesignFailure(f"no feasible design at {args.security:g} bits")
+    return 0
 
 
 def cmd_simulate(args) -> int:
     sk = crypto.load_private_key(args.key)
-    cfg = _decoder_config(args, sk.params)
+    cfg = _decoder_config(args)
     t_values = _parse_range(args.t)
     rows = sweep_rows(sk.h, cfg, t_values, args.trials, args.seed, args.jobs)
     for row in rows:
@@ -219,9 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hex seed (any length; canonicalized to 256 bits)")
 
     def add_decoder(p, default):
-        p.add_argument("--decoder", choices=["bf", "bfv", "spa"], default=default)
+        p.add_argument("--decoder", choices=[a.value for a in Algorithm], default=default)
         p.add_argument("--b", type=int, default=None)
-        p.add_argument("--delta", type=int, default=0)
         p.add_argument("--max-iter", dest="max_iter", type=int, default=100)
 
     p = sub.add_parser("keygen", help="generate a key pair")
@@ -304,7 +307,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse: --help exits 0, a usage error 2
+        if exc.code:
+            print("error-category: ParameterError", file=sys.stderr)
         return int(exc.code or 0)
     try:
         return args.func(args)

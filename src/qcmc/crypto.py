@@ -22,7 +22,7 @@ research toolkit: no constant-time guarantees, no side-channel hardening.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -32,8 +32,8 @@ from .decoder import Algorithm, DecoderConfig, decode
 from .design import (ParityCheck, SystemParams, pattern_det_gf2, sample_h_random,
                      sample_h_rdf, systematic_generator)
 from .errors import DecodingFailure, KeygenFailure, ParameterError, SingularMatrixError
-from .gf2 import (BitPolynomial, QcMatrix, SparseSupport, bits_to_int, int_to_bits,
-                  qc_invert, qc_mul, qc_transpose, qc_vec_mul)
+from .gf2 import (BitPolynomial, QcMatrix, SparseSupport, bits_to_int, qc_invert, qc_mul,
+                  qc_transpose, qc_vec_mul)
 from .prng import SeedStream, normalize_seed
 
 KEY_MAGIC = "QCMC1"
@@ -145,7 +145,7 @@ def keygen(params: SystemParams, seed, mode: KeyMode = KeyMode.CLASSIC,
         q, q_inv = _sample_q(params, root.child("q"))
         s_rng = root.child("s")
         s, s_inv = _sample_invertible(
-            k0, p, lambda i, j: BitPolynomial(p, s_rng.poly_bits(p)), "S")
+            k0, p, lambda i, j: BitPolynomial(p, s_rng.take_bits(p)), "S")
         gp = qc_mul(qc_mul(s_inv, g), q_inv)
 
     sk = PrivateKey(params, h, s, q, seed_bytes, mode)
@@ -166,7 +166,8 @@ def encrypt(pk: PublicKey, u: np.ndarray, rng: SeedStream) -> np.ndarray:
 _generator_for = lru_cache(maxsize=8)(systematic_generator)
 
 
-def decrypt(sk: PrivateKey, c: np.ndarray, cfg: DecoderConfig | None = None) -> np.ndarray:
+def decrypt(sk: PrivateKey, c: np.ndarray,
+            cfg: DecoderConfig = DecoderConfig(Algorithm.SPA)) -> np.ndarray:
     """Recover the message: multiply by Q, decode, extract, multiply by S.
 
     The candidate plaintext is re-encoded through the private pipeline and
@@ -177,10 +178,6 @@ def decrypt(sk: PrivateKey, c: np.ndarray, cfg: DecoderConfig | None = None) -> 
     c = np.asarray(c, dtype=np.uint8)
     if c.shape != (params.n,):
         raise ParameterError(f"ciphertext length must be {params.n} bits")
-    if cfg is None:
-        cfg = DecoderConfig(Algorithm.SPA)
-    if cfg.algorithm is Algorithm.SPA and cfg.p0 is None:
-        cfg = replace(cfg, p0=params.error_fraction)
 
     c_priv = c if sk.q_is_identity else qc_vec_mul(c, sk.Q)
     outcome = decode(sk.h, c_priv, cfg)
@@ -315,7 +312,7 @@ def load_private_key(path) -> PrivateKey:
 
 def save_ciphertext(c: np.ndarray, path) -> None:
     c = np.asarray(c, dtype=np.uint8)
-    lines = [CT_MAGIC, f"n={c.size}", bits_to_int(c).to_bytes((c.size + 7) // 8, "little").hex()]
+    lines = [CT_MAGIC, f"n={c.size}", BitPolynomial(c.size, bits_to_int(c)).to_hex()]
     _write_lines(path, lines)
 
 
@@ -324,13 +321,7 @@ def load_ciphertext(path) -> np.ndarray:
     if not lines or lines[0] != CT_MAGIC:
         raise ParameterError(f"not a {CT_MAGIC} file")
     try:
-        n = int(lines[1].split("=", 1)[1])
-        raw = bytes.fromhex(lines[2])
+        n, payload = int(lines[1].split("=", 1)[1]), lines[2]
     except (IndexError, ValueError) as exc:
         raise ParameterError(f"malformed {CT_MAGIC} file: {exc!r}") from exc
-    if len(raw) != (n + 7) // 8:
-        raise ParameterError(f"payload is {len(raw)} bytes, expected {(n + 7) // 8}")
-    value = int.from_bytes(raw, "little")
-    if value >> n:
-        raise ParameterError("stray bits beyond length n")
-    return int_to_bits(value, n)
+    return BitPolynomial.from_hex(n, payload).coeffs()

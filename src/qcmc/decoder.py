@@ -37,25 +37,27 @@ class DecoderConfig:
     """Decoder selection and tuning.
 
     b is the fixed flip threshold (BF_FIXED only, ceil(d_v/2) <= b <= d_v);
-    delta lowers the variable threshold below the per-iteration maximum;
-    p0 is the assumed channel error fraction for SPA initialization.
+    p0 is the assumed channel error fraction for SPA initialization.  Left
+    as None, decode takes both from the code: b = d_v (unanimous-vote flips)
+    and p0 = h.params.error_fraction, the t'/n the private decoder sees.
     """
 
     algorithm: Algorithm
     max_iterations: int = 100
     b: int | None = None
-    delta: int = 0
     p0: float | None = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ParameterError("max_iterations must be positive")
-        if self.delta < 0:
-            raise ParameterError("delta must be nonnegative")
-        if self.algorithm is Algorithm.BF_FIXED and self.b is None:
-            raise ParameterError("BF_FIXED requires a flip threshold b")
-        if self.p0 is not None and not 0.0 < self.p0 < 0.5:
-            raise ParameterError("p0 must lie in (0, 0.5)")
+        if self.p0 is not None:
+            _check_p0(self.p0)
+
+
+def _check_p0(p0: float) -> float:
+    if not 0.0 < p0 < 0.5:
+        raise ParameterError("p0 must lie in (0, 0.5)")
+    return p0
 
 
 @dataclass(frozen=True)
@@ -103,19 +105,19 @@ def syndrome(h: ParityCheck, v: np.ndarray) -> np.ndarray:
     return _syndrome(_index_for(h)[0], _checked_word(h, v).reshape(h.params.n0, h.params.p))
 
 
-def decode_bf(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> DecodeOutcome:
+def _decode_bf(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> DecodeOutcome:
     """Parallel bit flipping with a fixed or per-iteration variable threshold.
 
     Each iteration: compute the syndrome, count unsatisfied checks per bit,
-    flip every bit whose count reaches the threshold (b for BF_FIXED,
-    max-count minus delta for BF_VARIABLE), stop on a zero syndrome.
+    flip every bit whose count reaches the threshold (b for BF_FIXED, the
+    largest count for BF_VARIABLE), stop on a zero syndrome.
     Non-convergence is an unsuccessful outcome, not an exception.
     """
-    if cfg.algorithm not in (Algorithm.BF_FIXED, Algorithm.BF_VARIABLE):
-        raise ParameterError("decode_bf requires a BF algorithm")
     params = h.params
+    b = None
     if cfg.algorithm is Algorithm.BF_FIXED:
-        if not math.ceil(params.d_v / 2) <= cfg.b <= params.d_v:
+        b = params.d_v if cfg.b is None else cfg.b
+        if not math.ceil(params.d_v / 2) <= b <= params.d_v:
             raise ParameterError("b must lie in [ceil(d_v/2), d_v]")
     received = _checked_word(h, received)
     to_check, to_var = _index_for(h)
@@ -128,10 +130,7 @@ def decode_bf(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> Decod
     success = False
     for iterations in range(1, cfg.max_iterations + 1):
         upc = _rotate(synd[None, None, :], to_var).sum(axis=1, dtype=np.int64)
-        if cfg.algorithm is Algorithm.BF_FIXED:
-            threshold = cfg.b
-        else:
-            threshold = max(int(upc.max()) - cfg.delta, 1)
+        threshold = max(int(upc.max()), 1) if b is None else b
         flips = upc >= threshold
         if not flips.any():
             break
@@ -143,18 +142,15 @@ def decode_bf(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> Decod
     return DecodeOutcome(success, (v.reshape(-1) ^ received), iterations)
 
 
-def decode_spa(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> DecodeOutcome:
+def _decode_spa(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> DecodeOutcome:
     """Log-domain sum-product decoding over the expanded Tanner graph.
 
-    Channel LLRs assume a binary symmetric channel with crossover cfg.p0.
+    Channel LLRs assume a binary symmetric channel with crossover p0.
     Messages are clamped to +/-LLR_CLAMP; a hard decision is taken every
     iteration and decoding stops on a zero syndrome.
     """
-    if cfg.algorithm is not Algorithm.SPA:
-        raise ParameterError("decode_spa requires the SPA algorithm")
-    if cfg.p0 is None:
-        raise ParameterError("SPA needs an assumed channel error fraction p0")
     params = h.params
+    p0 = _check_p0(params.error_fraction) if cfg.p0 is None else cfg.p0
     received = _checked_word(h, received)
     to_check, to_var = _index_for(h)
     rec_blocks = received.reshape(params.n0, params.p)
@@ -162,7 +158,7 @@ def decode_spa(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> Deco
     if not synd.any():
         return DecodeOutcome(True, np.zeros(params.n, dtype=np.uint8), 0)
 
-    llr0 = math.log((1.0 - cfg.p0) / cfg.p0)
+    llr0 = math.log((1.0 - p0) / p0)
     channel = llr0 * (1.0 - 2.0 * rec_blocks.astype(np.float64))
     v2c = _rotate(channel[:, None, :], to_check)
 
@@ -186,7 +182,7 @@ def decode_spa(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> Deco
 
 
 def decode(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> DecodeOutcome:
-    """Dispatch on cfg.algorithm."""
+    """Decode a length-n word with cfg.algorithm; b and p0 left as None come from h."""
     if cfg.algorithm is Algorithm.SPA:
-        return decode_spa(h, received, cfg)
-    return decode_bf(h, received, cfg)
+        return _decode_spa(h, received, cfg)
+    return _decode_bf(h, received, cfg)

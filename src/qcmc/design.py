@@ -58,6 +58,8 @@ def weight_matrix(n0: int, sigma: int) -> tuple[tuple[int, ...], ...]:
     gives a permutation pattern (m = 1).  Raises ParameterError for integer
     even m, which is unrealizable (see pattern_det_gf2).
     """
+    if n0 < 1:
+        raise ParameterError("n0 must be positive")
     if sigma < n0:
         raise ParameterError("total weight below n0 cannot give row/column sums >= 1")
     q, r = divmod(sigma, n0)
@@ -118,8 +120,8 @@ class SystemParams:
             raise ParameterError("d_v must lie in [1, p]")
         if len(self.W) != self.n0 or any(len(row) != self.n0 for row in self.W):
             raise ParameterError("W must be an n0 x n0 grid")
-        if any(x < 0 for row in self.W for x in row):
-            raise ParameterError("W entries must be nonnegative")
+        if any(not 0 <= x <= self.p for row in self.W for x in row):
+            raise ParameterError("W entries must lie in [0, p]")
         for i in range(self.n0):
             if sum(self.W[i]) < 1 or sum(row[i] for row in self.W) < 1:
                 raise ParameterError("every row and column sum of W must be >= 1")

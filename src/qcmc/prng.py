@@ -93,7 +93,3 @@ class SeedStream:
         while len(chosen) < count:
             chosen.add(self.below(population))
         return tuple(sorted(chosen))
-
-    def poly_bits(self, p: int) -> int:
-        """Uniform p-bit integer (a dense random ring element)."""
-        return self.take_bits(p)

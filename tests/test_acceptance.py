@@ -140,15 +140,15 @@ class TestCriterion7OracleEquivalence:
 
         for _ in range(260):  # poly_mul
             p = 2 + rng.below(31)
-            a = BitPolynomial(p, rng.poly_bits(p))
-            b = BitPolynomial(p, rng.poly_bits(p))
+            a = BitPolynomial(p, rng.take_bits(p))
+            b = BitPolynomial(p, rng.take_bits(p))
             dense = gf2_matmul(circulant_dense(a.coeffs()), circulant_dense(b.coeffs()))
             assert np.array_equal(circulant_dense(poly_mul(a, b).coeffs()), dense)
             cases += 1
 
         for _ in range(200):  # poly_inverse against dense rank/inverse
             p = 2 + rng.below(31)
-            a = BitPolynomial(p, rng.poly_bits(p))
+            a = BitPolynomial(p, rng.take_bits(p))
             dense = circulant_dense(a.coeffs())
             try:
                 inv = poly_inverse(a)
@@ -186,7 +186,7 @@ class TestCriterion7OracleEquivalence:
         for _ in range(150):  # qc_vec_mul
             p = 2 + rng.below(15)
             a = _random_qc(rng, 2, 3, p)
-            v = int_to_bits(rng.poly_bits(2 * p), 2 * p)
+            v = int_to_bits(rng.take_bits(2 * p), 2 * p)
             assert np.array_equal(qc_vec_mul(v, a), gf2_matmul(v[None, :], a.expand())[0])
             cases += 1
 
@@ -194,7 +194,7 @@ class TestCriterion7OracleEquivalence:
             params = SystemParams.make(2, 8 + 8 * rng.below(4), 3, 1)
             h = sample_h_random(params, rng.child(f"h{cases}"))
             dense = h.to_qc_matrix().expand()
-            v = int_to_bits(rng.poly_bits(params.n), params.n)
+            v = int_to_bits(rng.take_bits(params.n), params.n)
             assert np.array_equal(syndrome(h, v), gf2_matmul(dense, v[:, None])[:, 0])
             cases += 1
 
@@ -216,7 +216,7 @@ class TestCriterion7OracleEquivalence:
 
 def _random_qc(rng, rows0, cols0, p):
     return QcMatrix.from_blocks(
-        [[BitPolynomial(p, rng.poly_bits(p)) for _ in range(cols0)]
+        [[BitPolynomial(p, rng.take_bits(p)) for _ in range(cols0)]
          for _ in range(rows0)])
 
 

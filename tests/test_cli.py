@@ -266,3 +266,31 @@ def test_inspect(workdir, capsys):
     out = capsys.readouterr().out
     # classic mode: all k0 * n0 blocks are payload
     assert "public key" in out and "payload=512 bits" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["wf", "--attack", "dca", "--p", "", "--dvp", "20"],
+    ["wf", "--attack", "dca", "--p", "5:1:1", "--dvp", "20"],
+    ["optimize", "--security", "100", "--candidates", ""],
+    ["optimize", "--security", "100", "--candidates", ","],
+    ["decrypt", "--sk", "a.sk", "--in", "a.ct", "--out", "a.out", "--delta", "1"],
+    ["keygen", "--n0", "0", "--p", "16", "--dv", "3", "--t", "1", "--out", "k"],
+    ["keygen", "--n0", "2", "--p", "2", "--dv", "1", "--t", "1", "--m", "3", "--out", "k"],
+], ids=["empty-p", "empty-range", "empty-candidates", "comma-candidates", "usage-error",
+        "keygen-n0-zero", "keygen-W-above-p"])
+def test_parameter_errors_print_a_category(workdir, capsys, argv):
+    assert main(argv) == 2
+    assert "error-category: ParameterError" in capsys.readouterr().err
+
+
+def test_optimize_without_feasible_design(workdir, capsys):
+    assert main(["optimize", "--security", "100", "--candidates", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.split()[:2] == ["d_v", "m"]
+    assert "rejected d_v=3:" in captured.out
+    assert "error-category: DesignFailure" in captured.err
+
+
+def test_help_exits_0_without_category(capsys):
+    assert main(["keygen", "--help"]) == 0
+    assert "error-category" not in capsys.readouterr().err

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import TannerGather, gf2_matmul
-from qcmc.decoder import (Algorithm, DecoderConfig, _index_for, _rotate, decode, decode_bf,
-                          decode_spa, syndrome)
+from qcmc.decoder import Algorithm, DecoderConfig, _index_for, _rotate, decode, syndrome
 from qcmc.design import SystemParams, sample_h_random, systematic_generator
 from qcmc.errors import ParameterError
 from qcmc.gf2 import qc_vec_mul
@@ -46,15 +45,31 @@ class TestSyndrome:
             syndrome(toy_h, np.zeros(5, dtype=np.uint8))
 
 
+def outcome_key(out):
+    return out.success, out.error_estimate.tobytes(), out.iterations_used
+
+
 class TestConfigValidation:
-    def test_bf_fixed_needs_b(self):
-        with pytest.raises(ParameterError):
-            DecoderConfig(Algorithm.BF_FIXED)
+    def test_bf_fixed_default_b_is_d_v(self, toy_h, toy_params):
+        words = [weight_t_error(toy_params.n, 30, seed) for seed in range(8)]
+
+        def outcomes(b):
+            cfg = DecoderConfig(Algorithm.BF_FIXED, max_iterations=10, b=b)
+            return [outcome_key(decode(toy_h, e, cfg)) for e in words]
+
+        assert outcomes(None) == outcomes(toy_params.d_v)
+        assert outcomes(None) != outcomes(toy_params.d_v - 1)
 
     def test_b_range_checked_at_decode(self, rdf_h, rdf_params):
         cfg = DecoderConfig(Algorithm.BF_FIXED, b=2)  # below ceil(5/2)
         with pytest.raises(ParameterError):
-            decode_bf(rdf_h, np.zeros(rdf_params.n, dtype=np.uint8), cfg)
+            decode(rdf_h, np.zeros(rdf_params.n, dtype=np.uint8), cfg)
+
+    def test_spa_default_p0_range_checked_at_decode(self):
+        params = SystemParams.make(2, 16, 3, 16)  # t'/n = 16/32: no valid SPA prior
+        h = sample_h_random(params, SeedStream(5, "h"))
+        with pytest.raises(ParameterError):
+            decode(h, np.zeros(params.n, dtype=np.uint8), DecoderConfig(Algorithm.SPA))
 
     def test_spa_p0_range(self):
         with pytest.raises(ParameterError):
@@ -62,16 +77,21 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             DecoderConfig(Algorithm.SPA, p0=0.0)
 
-    def test_spa_needs_p0(self, rdf_h, rdf_params):
-        with pytest.raises(ParameterError):
-            decode_spa(rdf_h, np.zeros(rdf_params.n, dtype=np.uint8),
-                       DecoderConfig(Algorithm.SPA))
+    def test_spa_default_p0_is_error_fraction(self, toy_h, toy_params):
+        words = [weight_t_error(toy_params.n, 40, seed) for seed in range(8)]
+
+        def outcomes(p0):
+            cfg = DecoderConfig(Algorithm.SPA, max_iterations=10, p0=p0)
+            return [outcome_key(decode(toy_h, e, cfg)) for e in words]
+
+        assert outcomes(None) == outcomes(toy_params.error_fraction)
+        assert outcomes(None) != outcomes(0.08)
 
 
 class TestBitFlipping:
     def test_zero_errors_zero_iterations(self, rdf_h, rdf_params):
-        out = decode_bf(rdf_h, np.zeros(rdf_params.n, dtype=np.uint8),
-                        DecoderConfig(Algorithm.BF_VARIABLE))
+        out = decode(rdf_h, np.zeros(rdf_params.n, dtype=np.uint8),
+                     DecoderConfig(Algorithm.BF_VARIABLE))
         assert out.success and out.iterations_used == 0
         assert not out.error_estimate.any()
 
@@ -81,7 +101,7 @@ class TestBitFlipping:
         for j in (0, 1, rdf_params.p - 1, rdf_params.p, rdf_params.n - 1):
             e = np.zeros(rdf_params.n, dtype=np.uint8)
             e[j] = 1
-            out = decode_bf(rdf_h, e, cfg)
+            out = decode(rdf_h, e, cfg)
             assert out.success and out.iterations_used == 1
             assert np.array_equal(out.error_estimate, e)
 
@@ -93,14 +113,14 @@ class TestBitFlipping:
         for j in range(params.n):
             e = np.zeros(params.n, dtype=np.uint8)
             e[j] = 1
-            out = decode_bf(h, e, cfg)
+            out = decode(h, e, cfg)
             assert out.success and np.array_equal(out.error_estimate, e)
 
     def test_success_implies_zero_syndrome(self, rdf_h, rdf_params):
         cfg = DecoderConfig(Algorithm.BF_VARIABLE)
         for seed in range(30):
             e = weight_t_error(rdf_params.n, 12, seed)
-            out = decode_bf(rdf_h, e, cfg)
+            out = decode(rdf_h, e, cfg)
             if out.success:
                 assert not syndrome(rdf_h, e ^ out.error_estimate).any()
 
@@ -108,9 +128,9 @@ class TestBitFlipping:
         e = weight_t_error(rdf_params.n, 10, 7)
         snapshot = e.copy()
         cfg = DecoderConfig(Algorithm.BF_VARIABLE)
-        out1 = decode_bf(rdf_h, e, cfg)
+        out1 = decode(rdf_h, e, cfg)
         assert np.array_equal(e, snapshot)
-        out2 = decode_bf(rdf_h, e, cfg)
+        out2 = decode(rdf_h, e, cfg)
         assert out1.success == out2.success
         assert np.array_equal(out1.error_estimate, out2.error_estimate)
         assert out1.iterations_used == out2.iterations_used
@@ -118,21 +138,20 @@ class TestBitFlipping:
     def test_iteration_budget_respected(self, toy_h, toy_params):
         cfg = DecoderConfig(Algorithm.BF_FIXED, b=5, max_iterations=3)
         for seed in range(20):
-            out = decode_bf(toy_h, weight_t_error(toy_params.n, 40, seed), cfg)
+            out = decode(toy_h, weight_t_error(toy_params.n, 40, seed), cfg)
             assert out.iterations_used <= 3
 
     def test_failure_is_outcome_not_exception(self, toy_h, toy_params):
         # saturate with errors: must report failure, not raise
         heavy = weight_t_error(toy_params.n, toy_params.n // 2, 1)
-        out = decode_bf(toy_h, heavy, DecoderConfig(Algorithm.BF_VARIABLE,
-                                                    max_iterations=5))
+        out = decode(toy_h, heavy, DecoderConfig(Algorithm.BF_VARIABLE, max_iterations=5))
         assert not out.success
 
 
 class TestSumProduct:
     def test_zero_errors_immediate(self, rdf_h, rdf_params):
-        out = decode_spa(rdf_h, np.zeros(rdf_params.n, dtype=np.uint8),
-                         DecoderConfig(Algorithm.SPA, p0=0.01))
+        out = decode(rdf_h, np.zeros(rdf_params.n, dtype=np.uint8),
+                     DecoderConfig(Algorithm.SPA, p0=0.01))
         assert out.success and out.iterations_used == 0
 
     def test_corrects_moderate_errors(self, rdf_h, rdf_params):
@@ -140,14 +159,14 @@ class TestSumProduct:
             cfg = DecoderConfig(Algorithm.SPA, p0=t_err / rdf_params.n)
             for seed in range(5):
                 e = weight_t_error(rdf_params.n, t_err, 100 * t_err + seed)
-                out = decode_spa(rdf_h, e, cfg)
+                out = decode(rdf_h, e, cfg)
                 assert out.success
                 assert np.array_equal(out.error_estimate, e)
 
     def test_deterministic(self, rdf_h, rdf_params):
         e = weight_t_error(rdf_params.n, 14, 9)
         cfg = DecoderConfig(Algorithm.SPA, p0=14 / rdf_params.n)
-        out1, out2 = decode_spa(rdf_h, e, cfg), decode_spa(rdf_h, e, cfg)
+        out1, out2 = decode(rdf_h, e, cfg), decode(rdf_h, e, cfg)
         assert np.array_equal(out1.error_estimate, out2.error_estimate)
         assert out1.iterations_used == out2.iterations_used
 
@@ -155,7 +174,7 @@ class TestSumProduct:
         cfg = DecoderConfig(Algorithm.SPA, p0=0.05)
         for seed in range(20):
             e = weight_t_error(rdf_params.n, 16, seed)
-            out = decode_spa(rdf_h, e, cfg)
+            out = decode(rdf_h, e, cfg)
             if out.success:
                 assert not syndrome(rdf_h, e ^ out.error_estimate).any()
 

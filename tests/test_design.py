@@ -31,6 +31,11 @@ class TestSystemParams:
         with pytest.raises(ParameterError):
             SystemParams(2, 8, 9, ((1, 0), (0, 1)), 1)  # d_v > p
 
+    def test_w_entry_above_p_rejected(self):
+        SystemParams(2, 2, 1, ((2, 0), (0, 1)), 1)
+        with pytest.raises(ParameterError):
+            SystemParams(2, 2, 1, ((3, 0), (0, 1)), 1)  # a weight-3 circulant needs p >= 3
+
     def test_block_weight_enforced(self):
         params = SystemParams.make(2, 16, 3, 1)
         good = SparseSupport(16, (0, 3, 7))
@@ -50,6 +55,11 @@ class TestWeightMatrix:
             with pytest.raises(ParameterError):
                 weight_matrix(n0, sigma)
             assert not realizable_sigma(n0, sigma)
+
+    def test_n0_below_one_rejected(self):
+        for n0 in (0, -1):
+            with pytest.raises(ParameterError):
+                weight_matrix(n0, 0)
 
     def test_below_n0_impossible(self):
         with pytest.raises(ParameterError):

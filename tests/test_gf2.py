@@ -27,7 +27,7 @@ ORACLE_P = (1, 2, 3, 7, 257, 4095, 4096, 6272, max(DEFAULT_P_GRID))
 
 def random_poly(p, rng, weight=None):
     if weight is None:
-        return BitPolynomial(p, rng.poly_bits(p))
+        return BitPolynomial(p, rng.take_bits(p))
     return BitPolynomial.from_support(p, rng.sample_distinct(p, weight))
 
 
@@ -118,8 +118,8 @@ class TestProductOracle:
         size = 1 << (2 * p - 2).bit_length()
         rng = SeedStream(22, "oracle-rounding")
         ones = np.ones(p, dtype=np.uint8)
-        pairs = [(ones, ones)] + [(int_to_bits(rng.poly_bits(p), p),
-                                   int_to_bits(rng.poly_bits(p), p)) for _ in range(2)]
+        pairs = [(ones, ones)] + [(int_to_bits(rng.take_bits(p), p),
+                                   int_to_bits(rng.take_bits(p), p)) for _ in range(2)]
         for a, b in pairs:
             raw = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)
             assert np.abs(raw - np.rint(raw)).max() < 0.25
@@ -213,7 +213,7 @@ class TestSerialization:
         rng = SeedStream(6, "pack")
         for _ in range(20):
             p = 1 + rng.below(100)
-            bits = rng.poly_bits(p)
+            bits = rng.take_bits(p)
             assert bits_to_int(int_to_bits(bits, p)) == bits
 
 
@@ -308,12 +308,12 @@ class TestQcOps:
         zero = np.zeros(16, dtype=np.uint8)
         assert not qc_vec_mul(zero, a).any()
         ident = QcMatrix.identity(2, 8)
-        v = int_to_bits(rng.poly_bits(16), 16)
+        v = int_to_bits(rng.take_bits(16), 16)
         assert np.array_equal(qc_vec_mul(v, ident), v)
         for _ in range(40):
             p = 2 + rng.below(15)
             m = random_qc(2, 3, p, rng)
-            v = int_to_bits(rng.poly_bits(2 * p), 2 * p)
+            v = int_to_bits(rng.take_bits(2 * p), 2 * p)
             assert np.array_equal(qc_vec_mul(v, m),
                                   gf2_matmul(v[None, :], m.expand())[0])
 
