@@ -8,7 +8,7 @@ complexity optimization, the cryptosystem itself, and a Monte Carlo harness.
 from .attacks import (IsdInstance, WfReport, dca_wf_at, h_enumeration_wf, isd_wf,
                       isda_wf_at, q_space_size)
 from .crypto import (KeyMode, PrivateKey, PublicKey, decrypt, encrypt, keygen,
-                     load_ciphertext, load_private_key, load_public_key,
+                     load_ciphertext, load_key, load_private_key, load_public_key,
                      public_parity_check, save_ciphertext, save_private_key,
                      save_public_key)
 from .decoder import Algorithm, DecodeOutcome, DecoderConfig, decode, syndrome

@@ -193,23 +193,18 @@ def cmd_inspect(args) -> int:
         c = crypto.load_ciphertext(path)
         print(f"ciphertext: n={c.size} weight={int(c.sum())}")
         return 0
-    try:
-        sk = crypto.load_private_key(path)
-    except ParameterError:
-        sk = None
-    if sk is not None:
-        pr = sk.params
-        print(f"private key ({sk.mode.value}): n0={pr.n0} p={pr.p} dv={pr.d_v} t={pr.t}")
-        print(f"n={pr.n} k={pr.k} d_c={pr.d_c} m={float(pr.m):g} "
-              f"t'={pr.t_prime} d_v'={float(pr.d_v_prime):g}")
-        print(f"W rows: {[list(r) for r in pr.W]}")
-        print(f"H block weights: {[b.weight for b in sk.h.blocks]}")
-        print(f"Q total weight: {sk.Q.total_weight}, S total weight: {sk.S.total_weight}")
+    key = crypto.load_key(path)
+    pr = key.params
+    if isinstance(key, crypto.PublicKey):
+        print(f"public key ({key.mode.value}): n0={pr.n0} p={pr.p} dv={pr.d_v} t={pr.t}")
+        print(f"n={pr.n} k={pr.k} payload={key.payload_bits} bits")
         return 0
-    pk = crypto.load_public_key(path)
-    pr = pk.params
-    print(f"public key ({pk.mode.value}): n0={pr.n0} p={pr.p} dv={pr.d_v} t={pr.t}")
-    print(f"n={pr.n} k={pr.k} payload={pk.payload_bits} bits")
+    print(f"private key ({key.mode.value}): n0={pr.n0} p={pr.p} dv={pr.d_v} t={pr.t}")
+    print(f"n={pr.n} k={pr.k} d_c={pr.d_c} m={float(pr.m):g} "
+          f"t'={pr.t_prime} d_v'={float(pr.d_v_prime):g}")
+    print(f"W rows: {[list(r) for r in pr.W]}")
+    print(f"H block weights: {[b.weight for b in key.h.blocks]}")
+    print(f"Q total weight: {key.Q.total_weight}, S total weight: {key.S.total_weight}")
     return 0
 
 

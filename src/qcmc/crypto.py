@@ -2,10 +2,11 @@
 
 Private key: sparse parity check H, dense scrambler S (k0 x k0 blocks), and
 sparse transformation Q (n0 x n0 blocks with weight pattern W).  Public key:
-G' = S^-1 G Q^-1 (classic mode) or the systematic row-reduced form of
-G Q^-1 (systematic mode, S dropped; for m = 1 also Q, so the public key is
-the systematic private generator itself).  Either way the public code admits
-the sparse parity check H' = H Q^T.
+G' = S^-1 (G Q^-1) in every mode.  Classic mode samples S at random;
+systematic mode takes S = the left k0 x k0 block of G Q^-1, so G' is
+row-reduced, and with m = 1 it takes Q = I, so G' is the private systematic
+generator itself.  Either way the public code admits the sparse parity check
+H' = H Q^T.
 
 Decryption: multiply the ciphertext by Q, decode t' = ceil(m t) errors with
 the sparse private code, take the systematic information part, multiply by
@@ -15,8 +16,9 @@ wrong plaintext.
 
 Key and ciphertext files are plain text: a magic line, a key=value parameter
 line, the weight matrix, then one lowercase-hex polynomial per circulant
-block in row-major order (little-endian bit packing, see gf2).  This is a
-research toolkit: no constant-time guarantees, no side-channel hardening.
+block in row-major order (little-endian bit packing, see gf2).  A seed=
+field in the parameter line is what marks a private key.  This is a research
+toolkit: no constant-time guarantees, no side-channel hardening.
 """
 
 from __future__ import annotations
@@ -109,47 +111,48 @@ def keygen(params: SystemParams, seed, mode: KeyMode = KeyMode.CLASSIC,
     """Generate a key pair, deterministically from (params, seed, mode).
 
     h_design selects the parity-check construction: "random" or "rdf".
-    In systematic mode the public key is row-reduced so only the k0
-    non-identity blocks carry information ((n0-1)*p payload bits); the
-    row reduction plays the role of S.  With m = 1 the transformation Q
-    is dropped entirely and the public key is the private systematic G.
+    Every mode computes G' = S^-1 (G Q^-1).  Classic mode samples a dense S;
+    systematic mode takes S = the left k0 x k0 block of G Q^-1 (drawing a
+    new Q while that block is singular), so G' is row-reduced and only its
+    k0 non-identity blocks carry information ((n0-1)*p payload bits).
+    Systematic mode with m = 1 takes Q = I, so G' is the private G itself.
     """
     seed_bytes = normalize_seed(seed)
     root = SeedStream(seed_bytes, "keygen")
     sampler = {"random": sample_h_random, "rdf": sample_h_rdf}.get(h_design)
     if sampler is None:
         raise ParameterError("h_design must be 'random' or 'rdf'")
+    if 2 * params.t_prime >= params.n:
+        raise ParameterError(
+            f"t={params.t} with m={params.m} gives t'={params.t_prime} >= n/2="
+            f"{params.n / 2:g}: the private decoder cannot correct that many errors")
 
     h = sampler(params, root.child("h"))
     g = systematic_generator(h)
     k0, p = params.k0, params.p
-
-    if mode is KeyMode.SYSTEMATIC and params.m == 1:
-        q, s = QcMatrix.identity(params.n0, p), QcMatrix.identity(k0, p)
-        gp = g
-    elif mode is KeyMode.SYSTEMATIC:
-        q_rng = root.child("q")
-        for _ in range(KEYGEN_BUDGET):
-            q, q_inv = _sample_q(params, q_rng)
-            m_mat = qc_mul(g, q_inv)
-            s = QcMatrix(k0, k0, p, tuple(tuple(row[:k0]) for row in m_mat.blocks))
-            try:
-                s_inv = qc_invert(s)
-            except SingularMatrixError:
-                continue
-            gp = qc_mul(s_inv, m_mat)
-            break
+    systematic = mode is KeyMode.SYSTEMATIC
+    q_rng, s_rng = root.child("q"), root.child("s")
+    for _ in range(KEYGEN_BUDGET):
+        if systematic and params.m == 1:
+            q = q_inv = QcMatrix.identity(params.n0, p)
         else:
-            raise KeygenFailure("no systematic form within the sampling budget")
+            q, q_inv = _sample_q(params, q_rng)
+        m_mat = qc_mul(g, q_inv)
+        if not systematic:
+            s, s_inv = _sample_invertible(
+                k0, p, lambda i, j: BitPolynomial(p, s_rng.take_bits(p)), "S")
+            break
+        s = QcMatrix(k0, k0, p, tuple(tuple(row[:k0]) for row in m_mat.blocks))
+        try:
+            s_inv = qc_invert(s)
+            break
+        except SingularMatrixError:
+            continue
     else:
-        q, q_inv = _sample_q(params, root.child("q"))
-        s_rng = root.child("s")
-        s, s_inv = _sample_invertible(
-            k0, p, lambda i, j: BitPolynomial(p, s_rng.take_bits(p)), "S")
-        gp = qc_mul(qc_mul(s_inv, g), q_inv)
+        raise KeygenFailure("no systematic form within the sampling budget")
 
     sk = PrivateKey(params, h, s, q, seed_bytes, mode)
-    pk = PublicKey(params, gp, mode)
+    pk = PublicKey(params, qc_mul(s_inv, m_mat), mode)
     return sk, pk
 
 
@@ -179,7 +182,7 @@ def decrypt(sk: PrivateKey, c: np.ndarray,
     if c.shape != (params.n,):
         raise ParameterError(f"ciphertext length must be {params.n} bits")
 
-    c_priv = c if sk.q_is_identity else qc_vec_mul(c, sk.Q)
+    c_priv = qc_vec_mul(c, sk.Q)
     outcome = decode(sk.h, c_priv, cfg)
     if not outcome.success:
         raise DecodingFailure(
@@ -215,8 +218,12 @@ def _w_line(params: SystemParams) -> str:
     return "W=" + ",".join(str(x) for row in params.W for x in row)
 
 
-def _parse_header(lines: list[str],
-                  magic: str) -> tuple[SystemParams, KeyMode, bytes | None, int]:
+def _grid(items: list, rows: int, cols: int) -> tuple:
+    """rows x cols nested tuples from a row-major list."""
+    return tuple(tuple(items[i * cols:(i + 1) * cols]) for i in range(rows))
+
+
+def _parse_header(lines: list[str], magic: str) -> tuple[SystemParams, KeyMode, bytes | None]:
     if not lines or not lines[0].startswith(magic + " "):
         raise ParameterError(f"not a {magic} file")
     if len(lines) < 3 or not lines[2].startswith("W="):
@@ -231,8 +238,7 @@ def _parse_header(lines: list[str],
         raise ParameterError(f"malformed {magic} header: {exc!r}") from exc
     if len(w_flat) != n0 * n0:
         raise ParameterError("weight matrix length mismatch")
-    W = tuple(tuple(w_flat[i * n0:(i + 1) * n0]) for i in range(n0))
-    return SystemParams(n0, p, d_v, W, t), mode, seed, 3
+    return SystemParams(n0, p, d_v, _grid(w_flat, n0, n0), t), mode, seed
 
 
 def _write_lines(path: str | os.PathLike, lines: list[str]) -> None:
@@ -260,26 +266,6 @@ def save_public_key(pk: PublicKey, path) -> None:
     _write_lines(path, lines)
 
 
-def load_public_key(path) -> PublicKey:
-    lines = _read_lines(path)
-    params, mode, _, at = _parse_header(lines, KEY_MAGIC)
-    polys = [BitPolynomial.from_hex(params.p, ln) for ln in lines[at:]]
-    k0, n0, p = params.k0, params.n0, params.p
-    if mode is KeyMode.SYSTEMATIC:
-        if len(polys) != k0:
-            raise ParameterError(f"expected {k0} blocks, found {len(polys)}")
-        one, zero = BitPolynomial.one(p), BitPolynomial.zero(p)
-        blocks = tuple(
-            tuple(one if j == i else zero for j in range(k0)) + (polys[i],)
-            for i in range(k0)
-        )
-    else:
-        if len(polys) != k0 * n0:
-            raise ParameterError(f"expected {k0 * n0} blocks, found {len(polys)}")
-        blocks = tuple(tuple(polys[i * n0:(i + 1) * n0]) for i in range(k0))
-    return PublicKey(params, QcMatrix(k0, n0, p, blocks), mode)
-
-
 def save_private_key(sk: PrivateKey, path) -> None:
     params = sk.params
     lines = [f"{KEY_MAGIC} {sk.mode.value}", _params_line(params, sk.seed),
@@ -290,24 +276,44 @@ def save_private_key(sk: PrivateKey, path) -> None:
     _write_lines(path, lines)
 
 
-def load_private_key(path) -> PrivateKey:
+def _load_key(path, want: type | None) -> PrivateKey | PublicKey:
+    """The key in a QCMC1 file, private if its header has seed=; want rejects the other kind."""
     lines = _read_lines(path)
-    params, mode, seed, at = _parse_header(lines, KEY_MAGIC)
+    params, mode, seed = _parse_header(lines, KEY_MAGIC)
+    kind = PublicKey if seed is None else PrivateKey
+    if want not in (None, kind):
+        raise ParameterError(f"{path} holds a {kind.__name__}, not a {want.__name__} "
+                             "(a seed= header field marks a private key)")
+    polys = [BitPolynomial.from_hex(params.p, ln) for ln in lines[3:]]
     n0, k0, p = params.n0, params.k0, params.p
-    expected = n0 + k0 * k0 + n0 * n0
-    polys = [BitPolynomial.from_hex(p, ln) for ln in lines[at:]]
+    expected = (n0 + k0 * k0 + n0 * n0 if kind is PrivateKey
+                else k0 if mode is KeyMode.SYSTEMATIC else k0 * n0)
     if len(polys) != expected:
         raise ParameterError(f"expected {expected} blocks, found {len(polys)}")
-    h_polys, rest = polys[:n0], polys[n0:]
-    h = ParityCheck(params, tuple(SparseSupport.from_poly(poly) for poly in h_polys))
-    s_blocks = tuple(tuple(rest[i * k0:(i + 1) * k0]) for i in range(k0))
-    rest = rest[k0 * k0:]
-    q_blocks = tuple(tuple(rest[i * n0:(i + 1) * n0]) for i in range(n0))
-    s = QcMatrix(k0, k0, p, s_blocks)
-    q = QcMatrix(n0, n0, p, q_blocks)
+    if kind is PublicKey:
+        if mode is KeyMode.SYSTEMATIC:  # the identity blocks are not stored
+            one, zero = BitPolynomial.one(p), BitPolynomial.zero(p)
+            polys = [blk for i in range(k0)
+                     for blk in [one if j == i else zero for j in range(k0)] + [polys[i]]]
+        return PublicKey(params, QcMatrix(k0, n0, p, _grid(polys, k0, n0)), mode)
+    h = ParityCheck(params, tuple(SparseSupport.from_poly(poly) for poly in polys[:n0]))
+    s = QcMatrix(k0, k0, p, _grid(polys[n0:], k0, k0))
+    q = QcMatrix(n0, n0, p, _grid(polys[n0 + k0 * k0:], n0, n0))
     qc_invert(s)  # raises SingularMatrixError for a key whose S or Q is singular
     qc_invert(q)
-    return PrivateKey(params, h, s, q, seed or b"\x00" * 32, mode)
+    return PrivateKey(params, h, s, q, seed, mode)
+
+
+def load_key(path) -> PrivateKey | PublicKey:
+    return _load_key(path, None)
+
+
+def load_public_key(path) -> PublicKey:
+    return _load_key(path, PublicKey)
+
+
+def load_private_key(path) -> PrivateKey:
+    return _load_key(path, PrivateKey)
 
 
 def save_ciphertext(c: np.ndarray, path) -> None:

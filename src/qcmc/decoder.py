@@ -54,9 +54,9 @@ class DecoderConfig:
             _check_p0(self.p0)
 
 
-def _check_p0(p0: float) -> float:
+def _check_p0(p0: float, what: str = "p0") -> float:
     if not 0.0 < p0 < 0.5:
-        raise ParameterError("p0 must lie in (0, 0.5)")
+        raise ParameterError(f"{what} must lie in (0, 0.5)")
     return p0
 
 
@@ -150,7 +150,9 @@ def _decode_spa(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> Dec
     iteration and decoding stops on a zero syndrome.
     """
     params = h.params
-    p0 = _check_p0(params.error_fraction) if cfg.p0 is None else cfg.p0
+    p0 = cfg.p0 if cfg.p0 is not None else _check_p0(
+        params.error_fraction,
+        f"the default p0 = max(t', 1)/n (t'={params.t_prime}, n={params.n})")
     received = _checked_word(h, received)
     to_check, to_var = _index_for(h)
     rec_blocks = received.reshape(params.n0, params.p)

@@ -360,16 +360,10 @@ def qc_invert(a: QcMatrix) -> QcMatrix:
 
 
 def qc_vec_mul(v: np.ndarray, a: QcMatrix) -> np.ndarray:
-    """Row vector times expanded matrix, computed blockwise via ring products."""
+    """Row vector times expanded matrix: the one-block-row product qc_mul(v, a)."""
     v = np.asarray(v, dtype=np.uint8)
     if v.shape != (a.rows0 * a.p,):
         raise ParameterError(f"vector length must be {a.rows0 * a.p}")
-    chunks = [bits_to_int(v[i * a.p:(i + 1) * a.p]) for i in range(a.rows0)]
-    out = []
-    for j in range(a.cols0):
-        acc = 0
-        for i in range(a.rows0):
-            if chunks[i] and a.blocks[i][j]:
-                acc ^= poly_mul(BitPolynomial(a.p, chunks[i]), a.blocks[i][j]).bits
-        out.append(int_to_bits(acc, a.p))
-    return np.concatenate(out)
+    row = [BitPolynomial(a.p, bits_to_int(v[i * a.p:(i + 1) * a.p])) for i in range(a.rows0)]
+    product = qc_mul(QcMatrix(1, a.rows0, a.p, (row,)), a)
+    return np.concatenate([blk.coeffs() for blk in product.blocks[0]])

@@ -1,6 +1,7 @@
 """Command-line interface: workflows, determinism, exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -165,6 +166,61 @@ def test_inspect_malformed_key(workdir, capsys, suffix, line, mutate):
     capsys.readouterr()
     assert main(["inspect", "--key", "bad.key"]) == 2
     assert "error-category: ParameterError" in capsys.readouterr().err
+
+
+def test_inspect_damaged_private_key_reports_private_layout(workdir, capsys):
+    assert main(KEYGEN) == 0
+    lines = (workdir / "toy.sk").read_text().splitlines()
+    del lines[4]  # the second of the n0 = 2 H blocks
+    (workdir / "bad.sk").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["inspect", "--key", "bad.sk"]) == 2
+    err = capsys.readouterr().err
+    assert "error-category: ParameterError" in err
+    # 2 H + 1 S + 4 Q blocks; the public key's layout would expect 2
+    assert "expected 7 blocks, found 6" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["inspect", "--key", "noseed.sk"],
+    ["decrypt", "--sk", "noseed.sk", "--in", "msg.ct", "--out", "msg.out"],
+    ["simulate", "--key", "noseed.sk", "--t", "2", "--trials", "5"],
+    ["encrypt", "--pk", "seeded.pk", "--in", "msg.bin", "--out", "x.ct"],
+    ["inspect", "--key", "seeded.pk"],
+], ids=["inspect-sk", "decrypt-sk", "simulate-sk", "encrypt-pk", "inspect-pk"])
+def test_seed_field_decides_key_kind(workdir, capsys, argv):
+    # a private key without seed= and a public key with one are both rejected
+    assert main(KEYGEN) == 0
+    (workdir / "msg.bin").write_bytes(bytes(32))
+    assert main(["encrypt", "--pk", "toy.pk", "--in", "msg.bin",
+                 "--seed", "01", "--out", "msg.ct"]) == 0
+    sk_text = (workdir / "toy.sk").read_text()
+    seed = re.search(r" seed=[0-9a-f]+", sk_text).group()
+    (workdir / "noseed.sk").write_text(sk_text.replace(seed, ""))
+    pk_lines = (workdir / "toy.pk").read_text().splitlines()
+    pk_lines[1] += seed
+    (workdir / "seeded.pk").write_text("\n".join(pk_lines) + "\n")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "error-category: ParameterError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t, m, t_prime", [(30, "3", 90), (64, "1", 64)])
+def test_keygen_rejects_t_prime_of_half_n(workdir, capsys, t, m, t_prime):
+    # n = 128: t' = ceil(m t) >= n/2 = 64 is more errors than any decoder corrects
+    code = main(["keygen", "--n0", "2", "--p", "64", "--dv", "5", "--t", str(t),
+                 "--m", m, "--out", "k"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error-category: ParameterError" in err
+    assert f"t={t} with m={m} gives t'={t_prime} >= n/2=64" in err
+    assert not (workdir / "k.sk").exists()
+
+
+def test_keygen_accepts_t_prime_below_half_n(workdir, capsys):
+    assert main(["keygen", "--n0", "2", "--p", "64", "--dv", "5", "--t", "21",
+                 "--m", "3", "--out", "k"]) == 0
+    assert "t'=63" in capsys.readouterr().out
 
 
 KEYGEN_64 = ["keygen", "--n0", "2", "--p", "64", "--dv", "5", "--t", "2", "--out", "k"]

@@ -10,6 +10,7 @@ from qcmc.crypto import (KeyMode, _sample_q, decrypt, encrypt, keygen, load_ciph
                          load_private_key, load_public_key, public_parity_check,
                          random_error_vector, save_ciphertext, save_private_key,
                          save_public_key)
+from qcmc.crypto import load_key
 from qcmc.decoder import Algorithm, DecoderConfig
 from qcmc.design import SystemParams, systematic_generator
 from qcmc.errors import DecodingFailure, ParameterError
@@ -147,6 +148,11 @@ class TestKeygen:
     def test_bad_design_name(self, toy_params):
         with pytest.raises(ParameterError):
             keygen(toy_params, 1, h_design="fancy")
+
+    def test_t_prime_of_half_n_rejected(self):
+        params = SystemParams.make(2, 64, 5, 30, sigma_w=6)  # t' = ceil(3 * 30), n = 128
+        with pytest.raises(ParameterError, match=r"t=30 with m=3 gives t'=90 >= n/2=64"):
+            keygen(params, 1)
 
 
 class TestEncrypt:
@@ -298,3 +304,14 @@ class TestSerialization:
         u = random_message(toy_params.k, 14)
         c = encrypt(pk2, u, SeedStream(15, "e"))
         assert np.array_equal(decrypt(sk2, c), u)
+
+    def test_seed_field_decides_key_kind(self, toy_keys, tmp_path):
+        sk, pk = toy_keys
+        save_private_key(sk, tmp_path / "k.sk")
+        save_public_key(pk, tmp_path / "k.pk")
+        assert load_key(tmp_path / "k.sk") == sk
+        assert load_key(tmp_path / "k.pk") == pk
+        with pytest.raises(ParameterError, match="holds a PrivateKey, not a PublicKey"):
+            load_public_key(tmp_path / "k.sk")
+        with pytest.raises(ParameterError, match="holds a PublicKey, not a PrivateKey"):
+            load_private_key(tmp_path / "k.pk")

@@ -71,6 +71,12 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             decode(h, np.zeros(params.n, dtype=np.uint8), DecoderConfig(Algorithm.SPA))
 
+    def test_spa_default_p0_error_names_t_prime_and_n(self):
+        params = SystemParams.make(2, 16, 3, 16)
+        h = sample_h_random(params, SeedStream(5, "h"))
+        with pytest.raises(ParameterError, match=r"\(t'=16, n=32\) must lie in \(0, 0.5\)"):
+            decode(h, np.zeros(params.n, dtype=np.uint8), DecoderConfig(Algorithm.SPA))
+
     def test_spa_p0_range(self):
         with pytest.raises(ParameterError):
             DecoderConfig(Algorithm.SPA, p0=0.5)

@@ -322,6 +322,25 @@ class TestQcOps:
         with pytest.raises(ParameterError):
             qc_vec_mul(np.zeros(9, dtype=np.uint8), random_qc(2, 2, 8, rng))
 
+    @pytest.mark.parametrize("p", [300, 457, 600])
+    def test_vec_mul_fft_branch_matches_dense(self, p):
+        # Chunks and blocks of weight above FFT_CROSSOVER take poly_mul's FFT
+        # branch, as c S and the re-encoding in decrypt do; a weight-3 block
+        # takes the shift-xor branch, and a zero block and a zero chunk are skipped.
+        rng = SeedStream(19, f"qc-vec-fft-{p}")
+
+        def dense():
+            return random_poly(p, rng, FFT_CROSSOVER + 1 + rng.below(p - FFT_CROSSOVER - 1))
+
+        a = QcMatrix.from_blocks([
+            [dense(), BitPolynomial.zero(p), dense()],
+            [dense(), dense(), random_poly(p, rng, 3)],
+            [dense(), dense(), dense()],
+        ])
+        v = np.concatenate([dense().coeffs(), dense().coeffs(), np.zeros(p, dtype=np.uint8)])
+        assert min(int(v[:p].sum()), int(v[p:2 * p].sum())) > FFT_CROSSOVER
+        assert np.array_equal(qc_vec_mul(v, a), gf2_matmul(v[None, :], a.expand())[0])
+
     def test_expansion_weight_bookkeeping(self):
         rng = SeedStream(17, "qc-weight")
         for _ in range(20):
