@@ -1,11 +1,12 @@
 """Iterative decoders for the sparse private code: bit flipping and sum-product.
 
 All decoders work directly on the circulant supports, never on an expanded
-matrix.  For a block row H = [H_0 | ... | H_{n0-1}] with supports supp_i,
-check s involves variable (i, j) exactly when j = (s + a) mod p for some
-a in supp_i.  So each edge class (i, a) is one cyclic rotation of a length-p
-row, by a from variables to checks and by (p - a) mod p back.  Syndromes,
-unsatisfied-check counts and SPA messages all go through that one rotation.
+matrix.  For a block row H = [H_0 | ... | H_{n0-1}] with supports supp_i, check
+s involves variable (i, j) exactly when j = (s + a) mod p for some a in supp_i.
+So each edge class (i, a) is one cyclic rotation of a length-p row, by a from
+variables to checks and by (p - a) mod p back.  Dense passes accumulate those
+rotations in place, in edge order; sparse ones scatter.  Bit flipping is
+incremental: flips update the syndrome, toggled checks the unsatisfied counts.
 
 Decoders are pure: inputs are never modified, and identical
 (inputs, config) always produce identical outcomes.
@@ -24,6 +25,7 @@ from .design import ParityCheck
 from .errors import ParameterError
 
 LLR_CLAMP = 25.0  # log-domain message magnitude cap
+SCATTER_COST = 16  # one scattered update costs about 16 elements of a rotated slice
 
 
 class Algorithm(Enum):
@@ -67,29 +69,62 @@ class DecodeOutcome:
     iterations_used: int
 
 
-def _rotate(rows: np.ndarray, shifts) -> np.ndarray:
-    """out[i, l, s] = rows[i, l, (s + shifts[i][l]) % p]; a length-1 axis of rows broadcasts."""
-    p = rows.shape[-1]
-    shape = (len(shifts), len(shifts[0]))
-    doubled = np.broadcast_to(np.concatenate([rows, rows], axis=-1), shape + (2 * p,))
-    out = np.empty(shape + (p,), dtype=rows.dtype)
-    for i, row_shifts in enumerate(shifts):
-        for l, a in enumerate(row_shifts):
-            out[i, l] = doubled[i, l, a:a + p]
+def _accumulate(op, out: np.ndarray, rows: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """out[i] = op(out[i], r_il) for l = 0, 1, ... in turn, where r_il[s] =
+    rows[i, l, (s + shifts[i, l]) % p] is two slices: rows are never doubled."""
+    p = out.shape[-1]
+    rows = np.broadcast_to(rows, shifts.shape + (p,))
+    for acc, block, row_shifts in zip(out, rows, shifts.tolist()):
+        for row, a in zip(block, row_shifts):
+            head, tail = acc[:p - a], acc[p - a:]
+            op(head, row[a:], out=head)
+            op(tail, row[:a], out=tail)
     return out
 
 
+def _spread(edges: np.ndarray, rows: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """edges[i, l, s] = rows[i, (s + shifts[i, l]) % p] - edges[i, l, s], in place."""
+    p = rows.shape[-1]
+    doubled = np.concatenate([rows, rows], axis=-1)
+    for twice, block, row_shifts in zip(doubled, edges, shifts.tolist()):
+        for edge, a in zip(block, row_shifts):
+            np.subtract(twice[a:a + p], edge, out=edge)
+    return edges
+
+
 @lru_cache(maxsize=8)
-def _index_for(h: ParityCheck) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Rotation shifts (to checks, to variables), each of shape (n0, d_v)."""
-    p = h.params.p
-    to_check = tuple(blk.support for blk in h.blocks)
-    return to_check, tuple(tuple((p - a) % p for a in supp) for supp in to_check)
+def _index_for(h: ParityCheck) -> np.ndarray:
+    """Read-only rotation shifts, [0] to checks and [1] to variables, each (n0, d_v)."""
+    index = np.array([[blk.support for blk in h.blocks]] * 2, dtype=np.int64)
+    index[1] = -index[1] % h.params.p
+    index.flags.writeable = False
+    return index
 
 
-def _syndrome(to_check, v_blocks: np.ndarray) -> np.ndarray:
-    edges = _rotate(v_blocks[:, None, :], to_check)
-    return (edges.sum(axis=(0, 1), dtype=np.int64) & 1).astype(np.uint8)
+def _syndrome(index, bits: np.ndarray) -> np.ndarray:
+    """H v^T as bools from the 0/1 blocks (n0, p) of v, scattered from v's support if sparse."""
+    n0, p = bits.shape
+    ones = np.flatnonzero(bits.view(np.bool_))
+    if len(ones) * SCATTER_COST < n0 * p:
+        blk, pos = np.divmod(ones, p)
+        counts = np.bincount((pos[:, None] + index[1][blk]).ravel(), minlength=2 * p)
+        return ((counts[:p] + counts[p:]) & 1).astype(np.bool_)
+    acc = _accumulate(np.logical_xor, np.zeros(bits.shape, np.bool_), bits[:, None], index[0])
+    return np.logical_xor.reduce(acc)
+
+
+def _count_unsatisfied(index, upc: np.ndarray, synd: np.ndarray, toggled: np.ndarray):
+    """Unsatisfied-check counts upc updated for the checks toggled into synd: each
+    moves the count of its variables (i, (s + a) % p) by +1 if now unsatisfied, else -1."""
+    n0, p = upc.shape
+    changed = np.flatnonzero(toggled)
+    if len(changed) * SCATTER_COST >= p:
+        return _accumulate(np.add, np.zeros_like(upc), synd.astype(upc.dtype), index[1])
+    targets = (index[0] + 2 * p * np.arange(n0)[:, None]).ravel()
+    delta = np.zeros((n0, 2 * p), dtype=upc.dtype)  # wraps, exact modulo 2^bits
+    for ufunc, checks in ((np.add, changed[synd[changed]]), (np.subtract, changed[~synd[changed]])):
+        ufunc.at(delta.reshape(-1), (checks[:, None] + targets).ravel(), upc.dtype.type(1))
+    return upc + delta[:, :p] + delta[:, p:]
 
 
 def _checked_word(h: ParityCheck, v) -> np.ndarray:
@@ -102,89 +137,74 @@ def _checked_word(h: ParityCheck, v) -> np.ndarray:
 
 def syndrome(h: ParityCheck, v: np.ndarray) -> np.ndarray:
     """Syndrome of a length-n word against the sparse private matrix."""
-    return _syndrome(_index_for(h)[0], _checked_word(h, v).reshape(h.params.n0, h.params.p))
+    return _syndrome(_index_for(h), _checked_word(h, v).reshape(h.params.n0, -1)).view(np.uint8)
 
 
-def _decode_bf(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> DecodeOutcome:
-    """Parallel bit flipping with a fixed or per-iteration variable threshold.
+def _decode_bf(index, v: np.ndarray, synd: np.ndarray, b: int | None, cap: int):
+    """Parallel bit flipping: each iteration flips, in place in v, every bit whose
+    unsatisfied-check count reaches b (or, for b None, the largest count)."""
+    upc, toggled = np.zeros(v.shape, np.min_scalar_type(index.shape[2])), synd  # 0..d_v fit
+    for iterations in range(1, cap + 1):
+        upc = _count_unsatisfied(index, upc, synd, toggled)
+        flips = upc >= (max(int(upc.max()), 1) if b is None else b)
+        if not flips.any():
+            return False, v, iterations
+        v ^= flips
+        toggled = _syndrome(index, flips)
+        synd = synd ^ toggled
+        if not synd.any():
+            return True, v, iterations
+    return False, v, cap
 
-    Each iteration: compute the syndrome, count unsatisfied checks per bit,
-    flip every bit whose count reaches the threshold (b for BF_FIXED, the
-    largest count for BF_VARIABLE), stop on a zero syndrome.
-    Non-convergence is an unsuccessful outcome, not an exception.
-    """
-    params = h.params
-    b = None
+
+def _check_update(tnh: np.ndarray) -> np.ndarray:
+    """Halved check-to-variable LLRs artanh(prod / tnh), clipped, in place of the edge values tnh:
+    prod / tnh is the product over a check's other edges.  A factor below 1e-30 divides
+    as +/-1e-30; it forces |prod| < 1e-30, so only those columns need that guard."""
+    p = tnh.shape[-1]
+    prod = tnh.reshape(-1, p).prod(axis=0)
+    cols = np.flatnonzero(np.abs(prod) < 1e-30)
+    tiny = tnh[..., cols]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(prod, tnh, out=tnh)
+    ratio[..., cols] = prod[cols] / np.where(np.abs(tiny) < 1e-30, np.copysign(1e-30, tiny), tiny)
+    np.clip(ratio, -1.0 + 1e-14, 1.0 - 1e-14, out=ratio)
+    return np.clip(np.arctanh(ratio, out=ratio), -LLR_CLAMP / 2, LLR_CLAMP / 2, out=ratio)
+
+
+def _decode_spa(index, received: np.ndarray, p0: float, cap: int):
+    """Log-domain sum-product decoding on a binary symmetric channel with crossover p0.
+    Edge messages are halved, as tanh and artanh take them; scaling by 2 is exact and
+    |total| is 0 or far above the subnormals, so all sums round as they would unhalved."""
+    channel = math.log((1.0 - p0) / p0) * (1.0 - 2.0 * received.astype(np.float64))
+    edges = _spread(np.zeros(index[0].shape + channel.shape[-1:]), 0.5 * channel, index[0])
+    for iterations in range(1, cap + 1):
+        _check_update(np.tanh(edges, out=edges))
+        total = channel + 2.0 * _accumulate(np.add, np.zeros_like(channel), edges, index[1])
+        if not _syndrome(index, total < 0.0).any():
+            return True, total < 0.0, iterations
+        np.clip(_spread(edges, 0.5 * total, index[0]), -LLR_CLAMP / 2, LLR_CLAMP / 2, out=edges)
+    return False, total < 0.0, cap
+
+
+def decode(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> DecodeOutcome:
+    """Decode a length-n word with cfg.algorithm; b and p0 left as None come from h.
+    Non-convergence is an unsuccessful outcome, not an exception."""
+    params, b, p0 = h.params, None, None
     if cfg.algorithm is Algorithm.BF_FIXED:
         b = params.d_v if cfg.b is None else cfg.b
         if not math.ceil(params.d_v / 2) <= b <= params.d_v:
             raise ParameterError("b must lie in [ceil(d_v/2), d_v]")
-    received = _checked_word(h, received)
-    to_check, to_var = _index_for(h)
-    v = received.reshape(params.n0, params.p).copy()
-    synd = _syndrome(to_check, v)
-    if not synd.any():
-        return DecodeOutcome(True, np.zeros(params.n, dtype=np.uint8), 0)
-
-    iterations = 0
-    success = False
-    for iterations in range(1, cfg.max_iterations + 1):
-        upc = _rotate(synd[None, None, :], to_var).sum(axis=1, dtype=np.int64)
-        threshold = max(int(upc.max()), 1) if b is None else b
-        flips = upc >= threshold
-        if not flips.any():
-            break
-        v ^= flips.astype(np.uint8)
-        synd = _syndrome(to_check, v)
-        if not synd.any():
-            success = True
-            break
-    return DecodeOutcome(success, (v.reshape(-1) ^ received), iterations)
-
-
-def _decode_spa(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> DecodeOutcome:
-    """Log-domain sum-product decoding over the expanded Tanner graph.
-
-    Channel LLRs assume a binary symmetric channel with crossover p0.
-    Messages are clamped to +/-LLR_CLAMP; a hard decision is taken every
-    iteration and decoding stops on a zero syndrome.
-    """
-    params = h.params
-    p0 = cfg.p0 if cfg.p0 is not None else _check_p0(
-        params.error_fraction,
-        f"the default p0 = max(t', 1)/n (t'={params.t_prime}, n={params.n})")
-    received = _checked_word(h, received)
-    to_check, to_var = _index_for(h)
-    rec_blocks = received.reshape(params.n0, params.p)
-    synd = _syndrome(to_check, rec_blocks)
-    if not synd.any():
-        return DecodeOutcome(True, np.zeros(params.n, dtype=np.uint8), 0)
-
-    llr0 = math.log((1.0 - p0) / p0)
-    channel = llr0 * (1.0 - 2.0 * rec_blocks.astype(np.float64))
-    v2c = _rotate(channel[:, None, :], to_check)
-
-    success = False
-    iterations = 0
-    hard = rec_blocks
-    for iterations in range(1, cfg.max_iterations + 1):
-        tnh = np.tanh(0.5 * v2c)
-        prod = tnh.reshape(-1, params.p).prod(axis=0)
-        safe = np.where(np.abs(tnh) < 1e-30, np.copysign(1e-30, tnh), tnh)
-        ratio = np.clip(prod[None, None, :] / safe, -1.0 + 1e-14, 1.0 - 1e-14)
-        c2v = np.clip(2.0 * np.arctanh(ratio), -LLR_CLAMP, LLR_CLAMP)
-        total = channel + _rotate(c2v, to_var).sum(axis=1)
-        hard = (total < 0.0).astype(np.uint8)
-        synd = _syndrome(to_check, hard)
-        if not synd.any():
-            success = True
-            break
-        v2c = np.clip(_rotate(total[:, None, :], to_check) - c2v, -LLR_CLAMP, LLR_CLAMP)
-    return DecodeOutcome(success, (hard.reshape(-1) ^ received), iterations)
-
-
-def decode(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> DecodeOutcome:
-    """Decode a length-n word with cfg.algorithm; b and p0 left as None come from h."""
     if cfg.algorithm is Algorithm.SPA:
-        return _decode_spa(h, received, cfg)
-    return _decode_bf(h, received, cfg)
+        p0 = cfg.p0 if cfg.p0 is not None else _check_p0(params.error_fraction, (
+            f"the default p0 = max(t', 1)/n (t'={params.t_prime}, n={params.n})"))
+    received = _checked_word(h, received)
+    blocks, index = received.reshape(params.n0, params.p), _index_for(h)
+    synd = _syndrome(index, blocks)
+    if not synd.any():
+        success, word, iterations = True, blocks, 0
+    elif p0 is None:
+        success, word, iterations = _decode_bf(index, blocks.copy(), synd, b, cfg.max_iterations)
+    else:
+        success, word, iterations = _decode_spa(index, blocks, p0, cfg.max_iterations)
+    return DecodeOutcome(success, word.reshape(-1) ^ received, iterations)

@@ -1,18 +1,23 @@
 """Independent oracles for tests: dense GF(2) linear algebra, plain polynomial
 division over GF(2), the shift-xor ring product, a small executable Stern
-search, the full ISDA shift-count scan, and Tanner-graph gathers through
-explicit index tables.
+search, the full ISDA shift-count scan, Tanner-graph gathers through
+explicit index tables, and the decoders as they were before their passes
+became incremental and in place.
 
 Everything here is deliberately separate from the package implementation:
 dense matrices instead of ring arithmetic, schoolbook algorithms instead of
 packed-bit tricks or FFTs, an exhaustive scan instead of branch-and-bound,
-fancy-index gathers instead of circulant rotations, so agreement is
-meaningful.
+fancy-index gathers instead of circulant rotations, full recomputation
+instead of incremental updates, so agreement is meaningful.
 """
+
+import math
 
 import numpy as np
 
 from qcmc.attacks import IsdInstance, WfReport, isd_wf
+from qcmc.decoder import (LLR_CLAMP, Algorithm, DecodeOutcome, DecoderConfig, _check_p0,
+                          _checked_word)
 from qcmc.design import ParityCheck
 from qcmc.errors import ParameterError
 from qcmc.gf2 import BitPolynomial, _cyclic_shift
@@ -200,3 +205,118 @@ class TannerGather:
     def collect_at_vars(self, edge_vals: np.ndarray) -> np.ndarray:
         """Sum per-edge data (indexed by check) at each variable, shape (n0, p)."""
         return edge_vals[self.block_axis, self.edge_axis, self.to_var].sum(axis=1)
+
+
+# The decoders as they were before incremental bit flipping and the in-place
+# SPA passes: every iteration recomputes the syndrome and the unsatisfied-check
+# counts from full (n0, d_v, p) rotation arrays, and SPA guards its divide with
+# np.where.  reference_decode must agree with qcmc.decoder.decode exactly.
+
+
+def _ref_rotate(rows: np.ndarray, shifts) -> np.ndarray:
+    """out[i, l, s] = rows[i, l, (s + shifts[i][l]) % p]; a length-1 axis of rows broadcasts."""
+    p = rows.shape[-1]
+    shape = (len(shifts), len(shifts[0]))
+    doubled = np.broadcast_to(np.concatenate([rows, rows], axis=-1), shape + (2 * p,))
+    out = np.empty(shape + (p,), dtype=rows.dtype)
+    for i, row_shifts in enumerate(shifts):
+        for l, a in enumerate(row_shifts):
+            out[i, l] = doubled[i, l, a:a + p]
+    return out
+
+
+def _ref_index(h: ParityCheck) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Rotation shifts (to checks, to variables), each of shape (n0, d_v)."""
+    p = h.params.p
+    to_check = tuple(blk.support for blk in h.blocks)
+    return to_check, tuple(tuple((p - a) % p for a in supp) for supp in to_check)
+
+
+def _ref_syndrome(to_check, v_blocks: np.ndarray) -> np.ndarray:
+    edges = _ref_rotate(v_blocks[:, None, :], to_check)
+    return (edges.sum(axis=(0, 1), dtype=np.int64) & 1).astype(np.uint8)
+
+
+def _ref_decode_bf(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> DecodeOutcome:
+    """Parallel bit flipping with a fixed or per-iteration variable threshold.
+
+    Each iteration: compute the syndrome, count unsatisfied checks per bit,
+    flip every bit whose count reaches the threshold (b for BF_FIXED, the
+    largest count for BF_VARIABLE), stop on a zero syndrome.
+    Non-convergence is an unsuccessful outcome, not an exception.
+    """
+    params = h.params
+    b = None
+    if cfg.algorithm is Algorithm.BF_FIXED:
+        b = params.d_v if cfg.b is None else cfg.b
+        if not math.ceil(params.d_v / 2) <= b <= params.d_v:
+            raise ParameterError("b must lie in [ceil(d_v/2), d_v]")
+    received = _checked_word(h, received)
+    to_check, to_var = _ref_index(h)
+    v = received.reshape(params.n0, params.p).copy()
+    synd = _ref_syndrome(to_check, v)
+    if not synd.any():
+        return DecodeOutcome(True, np.zeros(params.n, dtype=np.uint8), 0)
+
+    iterations = 0
+    success = False
+    for iterations in range(1, cfg.max_iterations + 1):
+        upc = _ref_rotate(synd[None, None, :], to_var).sum(axis=1, dtype=np.int64)
+        threshold = max(int(upc.max()), 1) if b is None else b
+        flips = upc >= threshold
+        if not flips.any():
+            break
+        v ^= flips.astype(np.uint8)
+        synd = _ref_syndrome(to_check, v)
+        if not synd.any():
+            success = True
+            break
+    return DecodeOutcome(success, (v.reshape(-1) ^ received), iterations)
+
+
+def _ref_decode_spa(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> DecodeOutcome:
+    """Log-domain sum-product decoding over the expanded Tanner graph.
+
+    Channel LLRs assume a binary symmetric channel with crossover p0.
+    Messages are clamped to +/-LLR_CLAMP; a hard decision is taken every
+    iteration and decoding stops on a zero syndrome.
+    """
+    params = h.params
+    p0 = cfg.p0 if cfg.p0 is not None else _check_p0(
+        params.error_fraction,
+        f"the default p0 = max(t', 1)/n (t'={params.t_prime}, n={params.n})")
+    received = _checked_word(h, received)
+    to_check, to_var = _ref_index(h)
+    rec_blocks = received.reshape(params.n0, params.p)
+    synd = _ref_syndrome(to_check, rec_blocks)
+    if not synd.any():
+        return DecodeOutcome(True, np.zeros(params.n, dtype=np.uint8), 0)
+
+    llr0 = math.log((1.0 - p0) / p0)
+    channel = llr0 * (1.0 - 2.0 * rec_blocks.astype(np.float64))
+    v2c = _ref_rotate(channel[:, None, :], to_check)
+
+    success = False
+    iterations = 0
+    hard = rec_blocks
+    for iterations in range(1, cfg.max_iterations + 1):
+        tnh = np.tanh(0.5 * v2c)
+        prod = tnh.reshape(-1, params.p).prod(axis=0)
+        safe = np.where(np.abs(tnh) < 1e-30, np.copysign(1e-30, tnh), tnh)
+        ratio = np.clip(prod[None, None, :] / safe, -1.0 + 1e-14, 1.0 - 1e-14)
+        c2v = np.clip(2.0 * np.arctanh(ratio), -LLR_CLAMP, LLR_CLAMP)
+        total = channel + _ref_rotate(c2v, to_var).sum(axis=1)
+        hard = (total < 0.0).astype(np.uint8)
+        synd = _ref_syndrome(to_check, hard)
+        if not synd.any():
+            success = True
+            break
+        v2c = np.clip(_ref_rotate(total[:, None, :], to_check) - c2v, -LLR_CLAMP, LLR_CLAMP)
+    return DecodeOutcome(success, (hard.reshape(-1) ^ received), iterations)
+
+
+def reference_decode(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> DecodeOutcome:
+    """Decode a length-n word with cfg.algorithm; b and p0 left as None come from h."""
+    if cfg.algorithm is Algorithm.SPA:
+        return _ref_decode_spa(h, received, cfg)
+    return _ref_decode_bf(h, received, cfg)

@@ -1,13 +1,19 @@
 """Decoder correctness: syndromes, provable BF cases, SPA behavior, purity,
-the rotation kernel against index-table gathers, pinned decoder outcomes."""
+the rotation kernel against index-table gathers, the scatter/recount crossovers,
+the SPA tiny-tanh guard, outcomes equal to the reference decoder, pinned outcomes."""
 
 import hashlib
+import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from oracles import TannerGather, gf2_matmul
-from qcmc.decoder import Algorithm, DecoderConfig, _index_for, _rotate, decode, syndrome
+from oracles import TannerGather, gf2_matmul, reference_decode
+from qcmc import decoder
+from qcmc.decoder import (LLR_CLAMP, Algorithm, DecoderConfig, _accumulate, _check_update,
+                          _count_unsatisfied, _index_for, _spread, decode, syndrome)
 from qcmc.design import SystemParams, sample_h_random, systematic_generator
 from qcmc.errors import ParameterError
 from qcmc.gf2 import qc_vec_mul
@@ -216,30 +222,177 @@ class TestRotationKernel:
     def test_syndrome(self, code):
         h, _, gather = code
         rng = np.random.RandomState(11)
-        for _ in range(3):
-            v = rng.randint(0, 2, h.params.n).astype(np.uint8)
+        words = [rng.randint(0, 2, h.params.n).astype(np.uint8) for _ in range(3)]
+        words += [weight_t_error(h.params.n, t, t) for t in (1, 2, h.params.p // 64)]
+        for v in words:
             expected = gather.syndrome(v.reshape(h.params.n0, h.params.p))
             assert np.array_equal(syndrome(h, v), expected)
 
     def test_unsatisfied_counts(self, code):
-        h, (_, to_var), gather = code
-        synd = np.random.RandomState(12).randint(0, 2, h.params.p).astype(np.uint8)
-        upc = _rotate(synd[None, None, :], to_var).sum(axis=1, dtype=np.int64)
+        h, index, gather = code
+        pr = h.params
+        synd = np.random.RandomState(12).randint(0, 2, pr.p).astype(np.uint8)
+        upc = _accumulate(np.add, np.zeros((pr.n0, pr.p), np.int64), synd, index[1])
         expected = gather.unsatisfied_counts(synd)
         assert upc.dtype == expected.dtype and np.array_equal(upc, expected)
 
+    def test_unsatisfied_count_updates(self, code):
+        h, index, gather = code
+        pr = h.params
+        rng = np.random.RandomState(15)
+        synd = rng.randint(0, 2, pr.p).astype(bool)
+        upc = gather.unsatisfied_counts(synd).astype(np.min_scalar_type(pr.d_v))
+        for n_toggled in (1, 3, pr.p // 64, pr.p // 2):  # scattered, then recounted
+            toggled = np.zeros(pr.p, bool)
+            toggled[rng.choice(pr.p, n_toggled, replace=False)] = True
+            synd = synd ^ toggled
+            upc = _count_unsatisfied(index, upc, synd, toggled)
+            assert np.array_equal(upc, gather.unsatisfied_counts(synd))
+
     def test_spread_to_edges(self, code):
         h, (to_check, _), gather = code
-        var_blocks = np.random.RandomState(13).standard_normal((h.params.n0, h.params.p))
-        assert np.array_equal(_rotate(var_blocks[:, None, :], to_check),
+        pr = h.params
+        rng = np.random.RandomState(13)
+        var_blocks = rng.standard_normal((pr.n0, pr.p))
+        minus = rng.standard_normal((pr.n0, pr.d_v, pr.p))
+        assert np.array_equal(_spread(np.zeros(minus.shape), var_blocks, to_check),
                               gather.spread_to_edges(var_blocks))
+        assert np.array_equal(_spread(minus.copy(), var_blocks, to_check),
+                              gather.spread_to_edges(var_blocks) - minus)
 
     def test_collect_at_vars(self, code):
         h, (_, to_var), gather = code
         pr = h.params
         edge_vals = np.random.RandomState(14).standard_normal((pr.n0, pr.d_v, pr.p))
-        assert np.array_equal(_rotate(edge_vals, to_var).sum(axis=1),
+        assert np.array_equal(_accumulate(np.add, np.zeros((pr.n0, pr.p)), edge_vals, to_var),
                               gather.collect_at_vars(edge_vals))
+
+
+class BranchLog:
+    """Counts which branch _syndrome and _count_unsatisfied take: a call that
+    reaches the rotation kernel recounts densely, any other call scatters."""
+
+    def __init__(self, monkeypatch):
+        self.taken = Counter()
+        self.dense = False
+        accumulate = decoder._accumulate
+
+        def spy(*args):
+            self.dense = True
+            return accumulate(*args)
+
+        monkeypatch.setattr(decoder, "_accumulate", spy)
+        for name in ("_syndrome", "_count_unsatisfied"):
+            monkeypatch.setattr(decoder, name, self._wrap(name, getattr(decoder, name)))
+
+    def _wrap(self, name, fn):
+        def wrapped(*args):
+            self.dense = False
+            out = fn(*args)
+            # a bool word is a flip round's flips; toggled is synd only on the first count
+            if name == "_syndrome":
+                kind = "flips" if args[1].dtype == np.bool_ else "word"
+            else:
+                kind = "first" if args[3] is args[2] else "update"
+            self.taken[name, kind, "dense" if self.dense else "scatter"] += 1
+            return out
+        return wrapped
+
+
+class TestCrossover:
+    """Sparse inputs scatter and dense ones take the rotation kernel."""
+
+    def test_syndrome_branches(self, qc_h, monkeypatch):
+        log = BranchLog(monkeypatch)
+        n0, p = qc_h.params.n0, qc_h.params.p
+        for weight, branch in ((1, "scatter"), (2 * p, "dense")):
+            log.taken.clear()
+            word = weight_t_error(n0 * p, weight, 3).reshape(n0, p)
+            decoder._syndrome(_index_for(qc_h), word)
+            assert log.taken == Counter({("_syndrome", "word", branch): 1})
+
+    def test_count_branches(self, qc_h, monkeypatch):
+        log = BranchLog(monkeypatch)
+        n0, p = qc_h.params.n0, qc_h.params.p
+        synd = np.zeros(p, bool)
+        for n_toggled, branch in ((1, "scatter"), (p // 2, "dense")):
+            log.taken.clear()
+            toggled = weight_t_error(p, n_toggled, 4).astype(bool)
+            synd = synd ^ toggled
+            decoder._count_unsatisfied(_index_for(qc_h), np.zeros((n0, p), np.uint8),
+                                       synd, toggled)
+            assert log.taken == Counter({("_count_unsatisfied", "update", branch): 1})
+
+
+# (code, word weight or "dense", SPA max_iterations, BF max_iterations).  Each word
+# is decoded by SPA, BF_VARIABLE, BF_FIXED with the default b and with b = ceil(d_v/2) + 1.
+ORACLE_WORDS = [
+    ("toy_h", 2, 20, 40), ("toy_h", 40, 20, 40), ("toy_h", "dense", 20, 40),
+    ("qc_h", 100, 10, 30), ("qc_h", 230, 6, 30), ("qc_h", "dense", 4, 30),
+    ("mdpc_h", 40, 3, 12), ("mdpc_h", 90, 2, 12), ("mdpc_h", "dense", 1, 6),
+]
+
+
+def test_outcomes_equal_reference_decoder(request, monkeypatch):
+    """decode equals tests/oracles.py::reference_decode on converging, non-converging
+    and dense words, and bit flipping takes both sides of each crossover."""
+    log = BranchLog(monkeypatch)
+    converged, bf_taken = Counter(), Counter()
+    for code, weight, spa_cap, bf_cap in ORACLE_WORDS:
+        h = request.getfixturevalue(code)
+        pr = h.params
+        e = (np.random.RandomState(pr.p).randint(0, 2, pr.n).astype(np.uint8)
+             if weight == "dense" else weight_t_error(pr.n, weight, weight))
+        for cfg in (DecoderConfig(Algorithm.SPA, max_iterations=spa_cap),
+                    DecoderConfig(Algorithm.BF_VARIABLE, max_iterations=bf_cap),
+                    DecoderConfig(Algorithm.BF_FIXED, max_iterations=bf_cap),
+                    DecoderConfig(Algorithm.BF_FIXED, max_iterations=bf_cap,
+                                  b=math.ceil(pr.d_v / 2) + 1)):
+            log.taken.clear()
+            out, ref = decode(h, e, cfg), reference_decode(h, e, cfg)
+            if cfg.algorithm is not Algorithm.SPA:
+                bf_taken += log.taken
+            assert (out.success, out.iterations_used) == (ref.success, ref.iterations_used)
+            assert np.array_equal(out.error_estimate, ref.error_estimate), (code, weight, cfg)
+            assert out.error_estimate.dtype == ref.error_estimate.dtype
+            converged[out.success] += 1
+    assert converged[True] and converged[False]
+    for name, kind in (("_syndrome", "flips"), ("_count_unsatisfied", "update")):
+        for branch in ("scatter", "dense"):
+            assert bf_taken[name, kind, branch], (name, kind, branch)
+
+
+def reference_check_update(tnh):
+    """The check-node update the decoder used before the guard became a fix-up."""
+    p = tnh.shape[-1]
+    prod = tnh.reshape(-1, p).prod(axis=0)
+    safe = np.where(np.abs(tnh) < 1e-30, np.copysign(1e-30, tnh), tnh)
+    ratio = np.clip(prod[None, None, :] / safe, -1.0 + 1e-14, 1.0 - 1e-14)
+    return np.clip(2.0 * np.arctanh(ratio), -LLR_CLAMP, LLR_CLAMP)
+
+
+def test_check_update_tiny_tanh_guard():
+    """Exact zeros of either sign, +/-1e-31 factors and a product that underflows
+    without any tiny factor all give the old np.where formula's LLRs, bit for bit."""
+    rng = np.random.RandomState(21)
+    tnh = rng.uniform(-0.999, 0.999, (2, 40, 9))
+    tnh[0, 3, 0] = 0.0
+    tnh[1, 7, 1] = -0.0
+    tnh[..., 2:4] = rng.choice([-0.95, 0.95], (2, 40, 2))  # |prod| ~ 1e-33 with the 1e-31
+    tnh[0, 0, 2] = 1e-31
+    tnh[1, 39, 3] = -1e-31
+    tnh[0, 5, 4], tnh[1, 5, 4] = 0.0, -0.0
+    tnh[..., 5] = 1e-9  # the product underflows to 0 with every factor above 1e-30
+    tnh[..., 6] = rng.choice([-0.9, 0.9], (2, 40))  # |prod| ~ 2e-4: no guard at all
+    tnh[0, :, 7] = 1e-31  # several tiny factors in one column
+    expected = reference_check_update(tnh)
+    guarded = set(np.flatnonzero(np.abs(tnh.reshape(-1, 9).prod(axis=0)) < 1e-30))
+    assert guarded >= {0, 1, 2, 3, 4, 5, 7} and 6 not in guarded
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        halved = _check_update(tnh.copy())
+    assert not np.isnan(halved).any()
+    assert (2.0 * halved).tobytes() == expected.tobytes()
 
 
 # (code, algorithm, t, max_iterations, success, iterations_used, sha256 of error_estimate)
