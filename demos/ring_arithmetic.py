@@ -4,8 +4,8 @@
 A binary circulant matrix is fully described by its first row, read as a
 polynomial in GF(2)[x]/(x^p - 1).  Multiplying a row vector by a circulant
 is polynomial multiplication; transposing negates exponents; inverting is
-the extended Euclidean algorithm.  Block matrices of circulants inherit all
-of it blockwise.
+raising to a fixed power, a chain of products and coefficient permutations.
+Block matrices of circulants inherit all of it blockwise.
 """
 
 import numpy as np

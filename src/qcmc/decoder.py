@@ -128,11 +128,13 @@ def _count_unsatisfied(index, upc: np.ndarray, synd: np.ndarray, toggled: np.nda
 
 
 def _checked_word(h: ParityCheck, v) -> np.ndarray:
-    """v as a uint8 array; ParameterError unless its length is n."""
-    v = np.asarray(v, dtype=np.uint8)
+    """v as a uint8 array; ParameterError unless it is n entries of 0 or 1."""
+    v = np.asarray(v)
     if v.shape != (h.params.n,):
         raise ParameterError(f"word length must be {h.params.n}")
-    return v
+    if not ((v == 0) | (v == 1)).all():
+        raise ParameterError("word entries must be 0 or 1")
+    return v.astype(np.uint8, copy=False)
 
 
 def syndrome(h: ParityCheck, v: np.ndarray) -> np.ndarray:

@@ -5,9 +5,9 @@ form its first row; row s is the first row cyclically shifted right by s.
 Under this identification, row-vector-times-circulant equals polynomial
 multiplication, so all quasi-cyclic linear algebra reduces to ring operations.
 
-Two representations are used side by side: dense bit-packed Python integers
-(bit i = coefficient of x^i) for products and inversions, and sorted index
-tuples (SparseSupport) for decoder inner loops where weight << p.
+A ring element is a bit-packed Python integer (BitPolynomial, bit i =
+coefficient of x^i); SparseSupport keeps the sorted support of the low-weight
+parity-check blocks, from which the decoder builds its rotation shifts.
 
 poly_mul picks its method by the weight w of the sparser operand.  Up to
 FFT_CROSSOVER it XORs w cyclic shifts of the other operand, which is the
@@ -20,6 +20,14 @@ float64 round-off stays far below 1/2 (under 2e-11 at p = 32768, the largest
 p the optimizer searches).  FFT_CROSSOVER = 256 is where the two methods cost
 the same at p = 4096 (about 0.23 ms each, x86-64, numpy 2.4); the crossing
 weight grows with p, from about 160 at p = 1024 to above 256 at p = 6272.
+
+poly_inverse has no arithmetic of its own.  For p = 2^e r with r odd and
+D = ord_r(2), every unit satisfies a^E = 1 with E = 2^e (2^D - 1), so
+a^-1 = a^(E-1) = b_e Frob^(e+1)(b_(D-1)): the Itoh-Tsujii chain gives
+b_k = a^(2^k - 1) in O(log k) poly_mul products and Frobenius maps
+a(x) -> a(x^(2^j)), which move coefficient i to i 2^j mod p and cancel
+collisions.  Even weight (a multiple of x + 1) is rejected before any
+product, every other non-unit by one more product: a * a^(E-1) != 1.
 
 Serialized form of a polynomial: ceil(p/8) bytes, little-endian bit order
 (coefficient of x^i lives in bit i mod 8 of byte i // 8), rendered as
@@ -199,48 +207,39 @@ def poly_mul(a: BitPolynomial, b: BitPolynomial) -> BitPolynomial:
     return BitPolynomial(p, bits_to_int(counts[:p] & 1))
 
 
-def _poly_divmod(a: int, b: int) -> tuple[int, int]:
-    """Quotient and remainder of GF(2)[x] division of a by b (plain, not mod x^p-1)."""
-    db = b.bit_length() - 1
-    q = 0
-    while a and a.bit_length() - 1 >= db:
-        shift = a.bit_length() - 1 - db
-        q ^= 1 << shift
-        a ^= b << shift
-    return q, a
+def _frobenius(a: BitPolynomial, k: int) -> BitPolynomial:
+    """a^(2^k) = a(x^(2^k)): coefficient i moves to i * 2^k mod p, colliding ones cancel."""
+    p = a.p
+    moved = np.flatnonzero(a.coeffs()) * pow(2, k, p) % p
+    return BitPolynomial(p, bits_to_int(np.bincount(moved, minlength=p) & 1))
 
 
-def _poly_mul_plain(a: int, b: int) -> int:
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
-    acc = 0
-    while a:
-        low = a & -a
-        acc ^= b << (low.bit_length() - 1)
-        a ^= low
-    return acc
+def _itoh_tsujii(a: BitPolynomial, k: int) -> BitPolynomial:
+    """b_k = a^(2^k - 1) by the chain b_2j = Frob^j(b_j) b_j, b_2j+1 = Frob(b_2j) a."""
+    if k == 0:
+        return BitPolynomial.one(a.p)
+    b, j = a, 1
+    for bit in bin(k)[3:]:
+        b, j = poly_mul(_frobenius(b, j), b), 2 * j
+        if bit == "1":
+            b, j = poly_mul(_frobenius(b, 1), a), j + 1
+    return b
 
 
 def poly_inverse(a: BitPolynomial) -> BitPolynomial:
-    """Inverse in R_p via the extended Euclidean algorithm against x^p - 1.
-
-    Raises NotInvertibleError when gcd(a, x^p - 1) != 1; in particular every
-    even-weight element is a multiple of x + 1 and never invertible.
-    """
+    """Inverse in R_p as a^(E - 1); NotInvertibleError unless gcd(a, x^p - 1) = 1."""
     if a.weight % 2 == 0:
         raise NotInvertibleError("gcd with x^p - 1 is nontrivial")
     p = a.p
-    modulus = (1 << p) | 1
-    r0, r1 = modulus, a.bits
-    s0, s1 = 0, 1
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 ^ _poly_mul_plain(q, s1)
-    if r0 != 1:
+    e = (p & -p).bit_length() - 1
+    r = p >> e
+    d, power = 1, 2 % r
+    while power > 1:
+        power, d = 2 * power % r, d + 1
+    inv = poly_mul(_itoh_tsujii(a, e), _frobenius(_itoh_tsujii(a, d - 1), e + 1))
+    if poly_mul(a, inv) != BitPolynomial.one(p):
         raise NotInvertibleError("gcd with x^p - 1 is nontrivial")
-    _, s0 = _poly_divmod(s0, modulus)
-    return BitPolynomial(p, s0)
+    return inv
 
 
 @dataclass(frozen=True)

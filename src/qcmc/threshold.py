@@ -11,9 +11,11 @@ p0 = t/n the channel error fraction, one evolution step reads
 
 where T(d, b, x) is the binomial tail P[Binom(d, x) >= b].  The recursion
 must decrease monotonically below 1/n within MAX_RECURSION_STEPS = 100
-steps; the reported threshold maximizes over decision thresholds b in
-[ceil(d_v/2), d_v], and the integer search over t is exponential-then-binary,
-using monotonicity of convergence in t.
+steps.  The reported threshold maximizes over decision thresholds b in
+[ceil(d_v/2), d_v]: one exponential-then-binary search over t, using
+monotonicity of convergence in t, asks at each t whether some b converges
+(trying b upwards, stopping at the first), and the reported b is the
+smallest that converges at the largest such t.
 """
 
 from __future__ import annotations
@@ -75,31 +77,25 @@ def _converges(n: int, d_c: int, d_v: int, b: int, t: int, max_steps: int) -> bo
     return False
 
 
-def _t_max_for_b(n: int, d_c: int, d_v: int, b: int, max_steps: int) -> int:
-    if not _converges(n, d_c, d_v, b, 1, max_steps):
-        return 0
-    lo, hi = 1, 2
-    while hi < n and _converges(n, d_c, d_v, b, hi, max_steps):
+@lru_cache(maxsize=None)
+def _threshold_cached(n: int, n0: int, d_v: int) -> tuple[int, int]:
+    b_values = range(math.ceil(d_v / 2), d_v + 1)
+
+    def first_b(t: int) -> int | None:
+        return next((b for b in b_values
+                     if _converges(n, n0 * d_v, d_v, b, t, MAX_RECURSION_STEPS)), None)
+
+    lo, hi = 0, 1  # t = 0 converges at every b
+    while hi < n and first_b(hi) is not None:
         lo, hi = hi, hi * 2
     hi = min(hi, n)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _converges(n, d_c, d_v, b, mid, max_steps):
+        if first_b(mid) is not None:
             lo = mid
         else:
             hi = mid
-    return lo
-
-
-@lru_cache(maxsize=None)
-def _threshold_cached(n: int, n0: int, d_v: int) -> tuple[int, int]:
-    d_c = n0 * d_v
-    best_t, best_b = 0, math.ceil(d_v / 2)
-    for b in range(math.ceil(d_v / 2), d_v + 1):
-        tm = _t_max_for_b(n, d_c, d_v, b, MAX_RECURSION_STEPS)
-        if tm > best_t:
-            best_t, best_b = tm, b
-    return best_t, best_b
+    return lo, first_b(lo)
 
 
 def bf_threshold(q: ThresholdQuery) -> int:

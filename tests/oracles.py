@@ -1,14 +1,22 @@
 """Independent oracles for tests: dense GF(2) linear algebra, plain polynomial
-division over GF(2), the shift-xor ring product, a small executable Stern
-search, the full ISDA shift-count scan, Tanner-graph gathers through
-explicit index tables, and the decoders as they were before their passes
-became incremental and in place.
+division over GF(2), the shift-xor ring product, ring inversion by the
+extended Euclidean algorithm, a small executable Stern search, the full ISDA
+shift-count scan, the decoding threshold searched once per decision
+threshold b, Tanner-graph gathers through explicit index tables, and the
+decoders as they were before their passes became incremental and in place.
 
 Everything here is deliberately separate from the package implementation:
 dense matrices instead of ring arithmetic, schoolbook algorithms instead of
-packed-bit tricks or FFTs, an exhaustive scan instead of branch-and-bound,
-fancy-index gathers instead of circulant rotations, full recomputation
+packed-bit tricks or FFTs, Euclid instead of exponentiation, an exhaustive
+scan instead of branch-and-bound, one t search per b instead of one for all
+b, fancy-index gathers instead of circulant rotations, full recomputation
 instead of incremental updates, so agreement is meaningful.
+
+The package's inversion a^-1 = a^(E-1) follows T. Itoh and S. Tsujii, "A fast
+algorithm for computing multiplicative inverses in GF(2^m) using normal
+bases", Inform. and Comput. 78 (1988), and N. Drucker, S. Gueron and
+D. Kostic, "Fast polynomial inversion for post quantum QC-MDPC
+cryptography" (2020).
 """
 
 import math
@@ -19,8 +27,9 @@ from qcmc.attacks import IsdInstance, WfReport, isd_wf
 from qcmc.decoder import (LLR_CLAMP, Algorithm, DecodeOutcome, DecoderConfig, _check_p0,
                           _checked_word)
 from qcmc.design import ParityCheck
-from qcmc.errors import ParameterError
+from qcmc.errors import NotInvertibleError, ParameterError
 from qcmc.gf2 import BitPolynomial, _cyclic_shift
+from qcmc.threshold import MAX_RECURSION_STEPS, _converges
 
 
 def gf2_rref(M):
@@ -99,6 +108,50 @@ def poly_mul_shift_xor(a: BitPolynomial, b: BitPolynomial) -> BitPolynomial:
     return BitPolynomial(a.p, acc)
 
 
+def _poly_divmod(a: int, b: int) -> tuple[int, int]:
+    """Quotient and remainder of GF(2)[x] division of a by b (plain, not mod x^p-1)."""
+    db = b.bit_length() - 1
+    q = 0
+    while a and a.bit_length() - 1 >= db:
+        shift = a.bit_length() - 1 - db
+        q ^= 1 << shift
+        a ^= b << shift
+    return q, a
+
+
+def _poly_mul_plain(a: int, b: int) -> int:
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    acc = 0
+    while a:
+        low = a & -a
+        acc ^= b << (low.bit_length() - 1)
+        a ^= low
+    return acc
+
+
+def euclid_inverse(a: BitPolynomial) -> BitPolynomial:
+    """Inverse in R_p via the extended Euclidean algorithm against x^p - 1.
+
+    Raises NotInvertibleError when gcd(a, x^p - 1) != 1; in particular every
+    even-weight element is a multiple of x + 1 and never invertible.
+    """
+    if a.weight % 2 == 0:
+        raise NotInvertibleError("gcd with x^p - 1 is nontrivial")
+    p = a.p
+    modulus = (1 << p) | 1
+    r0, r1 = modulus, a.bits
+    s0, s1 = 0, 1
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 ^ _poly_mul_plain(q, s1)
+    if r0 != 1:
+        raise NotInvertibleError("gcd with x^p - 1 is nontrivial")
+    _, s0 = _poly_divmod(s0, modulus)
+    return BitPolynomial(p, s0)
+
+
 def circulant_dense(first_row):
     """Dense circulant: row s is the first row cyclically shifted right by s."""
     row = np.asarray(first_row, dtype=np.uint8)
@@ -172,6 +225,35 @@ def isda_full_scan(n0: int, p: int, t: int) -> WfReport:
     if best is None:
         raise ParameterError("no feasible shift count for this instance")
     return best
+
+
+def t_max_for_b(n: int, d_c: int, d_v: int, b: int, max_steps: int) -> int:
+    """Largest t at which threshold-b density evolution converges, searched for b alone."""
+    if not _converges(n, d_c, d_v, b, 1, max_steps):
+        return 0
+    lo, hi = 1, 2
+    while hi < n and _converges(n, d_c, d_v, b, hi, max_steps):
+        lo, hi = hi, hi * 2
+    hi = min(hi, n)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _converges(n, d_c, d_v, b, mid, max_steps):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def per_b_threshold(n: int, n0: int, d_v: int) -> tuple[int, int]:
+    """(t_max, b): one t search per decision threshold b, the largest t kept,
+    ties to the smallest b."""
+    d_c = n0 * d_v
+    best_t, best_b = 0, math.ceil(d_v / 2)
+    for b in range(math.ceil(d_v / 2), d_v + 1):
+        tm = t_max_for_b(n, d_c, d_v, b, MAX_RECURSION_STEPS)
+        if tm > best_t:
+            best_t, best_b = tm, b
+    return best_t, best_b
 
 
 class TannerGather:

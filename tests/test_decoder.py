@@ -50,6 +50,30 @@ class TestSyndrome:
         with pytest.raises(ParameterError):
             syndrome(toy_h, np.zeros(5, dtype=np.uint8))
 
+    @pytest.mark.parametrize("bad", [2, 255, 256, -1])
+    def test_entries_other_than_0_and_1_rejected(self, toy_h, toy_params, bad):
+        # checked on the word as given: a uint8 cast would turn 256 into 0 and -1 into 255
+        dtypes = [np.int16, np.int64] + ([np.uint8] if bad in (2, 255) else [])
+        for dtype in dtypes:
+            word = np.zeros(toy_params.n, dtype=dtype)
+            word[[3, 7]] = (1, bad)
+            for candidate in (word, word.tolist()):
+                with pytest.raises(ParameterError, match="word entries must be 0 or 1"):
+                    syndrome(toy_h, candidate)
+                for alg in Algorithm:
+                    with pytest.raises(ParameterError, match="word entries must be 0 or 1"):
+                        decode(toy_h, candidate, DecoderConfig(alg))
+
+    def test_bool_and_int_words_accepted(self, toy_h, toy_params):
+        word = np.zeros(toy_params.n, dtype=np.uint8)
+        word[[3, 7, 100]] = 1
+        expect = syndrome(toy_h, word)
+        for candidate in (word.astype(np.bool_), word.astype(np.int64), word.tolist()):
+            assert np.array_equal(syndrome(toy_h, candidate), expect)
+            out = decode(toy_h, candidate, DecoderConfig(Algorithm.BF_VARIABLE))
+            assert outcome_key(out) == outcome_key(
+                decode(toy_h, word, DecoderConfig(Algorithm.BF_VARIABLE)))
+
 
 def outcome_key(out):
     return out.success, out.error_estimate.tobytes(), out.iterations_used

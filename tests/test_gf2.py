@@ -10,8 +10,8 @@ import pytest
 
 import qcmc
 import qcmc.gf2
-from oracles import (circulant_dense, gf2_inv, gf2_matmul, gf2_rank, poly_divides,
-                     poly_mul_shift_xor, support_bit_loop)
+from oracles import (circulant_dense, euclid_inverse, gf2_inv, gf2_matmul, gf2_rank,
+                     poly_divides, poly_mul_shift_xor, support_bit_loop)
 from qcmc.errors import NotInvertibleError, ParameterError, SingularMatrixError
 from qcmc.gf2 import (FFT_CROSSOVER, BitPolynomial, QcMatrix, SparseSupport, bits_to_int,
                       int_to_bits, poly_inverse, poly_mul, qc_add, qc_invert,
@@ -163,8 +163,8 @@ class TestPolyInverse:
 
     def test_even_weight_rejected_before_euclid(self, monkeypatch):
         def no_euclid(*args):
-            raise AssertionError("Euclid ran on an even-weight operand")
-        monkeypatch.setattr(qcmc.gf2, "_poly_divmod", no_euclid)
+            raise AssertionError("a product ran on an even-weight operand")
+        monkeypatch.setattr(qcmc.gf2, "poly_mul", no_euclid)
         rng = SeedStream(23, "inv-even-early")
         for poly in (BitPolynomial.zero(4096), random_poly(4096, rng, weight=2 * 1024)):
             with pytest.raises(NotInvertibleError, match="gcd with x\\^p - 1 is nontrivial"):
@@ -186,6 +186,30 @@ class TestPolyInverse:
             assert gf2_rank(circulant_dense(a.coeffs())) == p
             inverted += 1
         assert inverted > 10 and failed > 10
+
+
+class TestInverseOracle:
+    """poly_inverse by exponentiation equals the extended Euclidean algorithm."""
+
+    @staticmethod
+    def outcome(inverse, a):
+        try:
+            return inverse(a)
+        except NotInvertibleError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("p", sorted({1, 2, 3, 7, 257, 6272, *DEFAULT_P_GRID}))
+    def test_equals_euclid(self, p):
+        rng = SeedStream(24, f"inv-euclid-{p}")
+        for a in (random_poly(p, rng), random_poly(p, rng, weight=min(p, 15))):
+            assert self.outcome(poly_inverse, a) == self.outcome(euclid_inverse, a)
+        for factor, order in (((0, 1, 2), 3), ((0, 1, 3), 7)):
+            if p % order == 0:  # factor divides x^order - 1, hence x^p - 1
+                c = random_poly(p, rng, weight=2 * rng.below(max(p // 4, 1)) + 1)
+                a = poly_mul(BitPolynomial.from_support(p, factor), c)
+                assert a.weight % 2 == 1  # gets past the even-weight reject
+                assert self.outcome(poly_inverse, a) == self.outcome(euclid_inverse, a) \
+                    == "gcd with x^p - 1 is nontrivial"
 
 
 class TestSerialization:

@@ -4,7 +4,9 @@ import io
 
 import pytest
 
+from oracles import per_b_threshold
 from qcmc.errors import ParameterError
+from qcmc.optimize import DEFAULT_CANDIDATES, DEFAULT_P_GRID
 from qcmc.threshold import (ThresholdQuery, bf_threshold, bf_threshold_detail,
                             binomial_tail, evolution_step, threshold_table,
                             write_threshold_csv)
@@ -52,16 +54,39 @@ class TestThreshold:
 
     def test_reported_b_attains_maximum(self):
         # re-run the recursion at the reported b and at neighbors
-        from qcmc.threshold import _t_max_for_b
+        from oracles import t_max_for_b
         q = ThresholdQuery(16384, 4, 13)
         t_max, b_opt = bf_threshold_detail(q)
-        assert _t_max_for_b(q.n, q.n0 * q.d_v, q.d_v, b_opt, 100) == t_max
+        assert t_max_for_b(q.n, q.n0 * q.d_v, q.d_v, b_opt, 100) == t_max
         for b in range(7, 14):
-            assert _t_max_for_b(q.n, q.n0 * q.d_v, q.d_v, b, 100) <= t_max
+            assert t_max_for_b(q.n, q.n0 * q.d_v, q.d_v, b, 100) <= t_max
 
     def test_reference_anchor_fast(self):
         # full six-anchor sweep lives in the acceptance suite
         assert abs(bf_threshold(ThresholdQuery(16384, 4, 13)) - 181) <= 181 * 0.05
+
+
+ANCHORS = [(16384, 4, 13), (16384, 4, 15), (28672, 4, 15),
+           (16384, 4, 59), (28672, 4, 77), (25088, 4, 85)]
+SMALL_CODES = [(n0 * p, n0, d_v) for n0 in (2, 3) for p in (64, 256, 1024, 4096, 8192)
+               for d_v in (3, 5, 9, 13, 15, 25, 45) if d_v < p]
+SMALL_CODES += [(128, 2, 63), (20, 2, 9), (12, 3, 3)]  # t_max = 1, 0, 0
+
+
+class TestPerBOracle:
+    """One t search over all b gives the (t_max, b) of one search per b."""
+
+    def check(self, cases):
+        for n, n0, d_v in cases:
+            assert bf_threshold_detail(ThresholdQuery(n, n0, d_v)) == \
+                per_b_threshold(n, n0, d_v), (n, n0, d_v)
+
+    def test_anchors_and_small_codes(self):
+        self.check(ANCHORS + SMALL_CODES)
+
+    @pytest.mark.nightly
+    def test_design_grid(self):
+        self.check([(4 * p, 4, d_v) for p in DEFAULT_P_GRID for d_v in DEFAULT_CANDIDATES])
 
 
 class TestCsv:
