@@ -35,16 +35,24 @@ the attacker:
   * a grid point counts if it is feasible for some k in the interval
     (p_s <= floor(k_hi/2), w - 2 p_s <= n - k_lo - l).
 
-An interval is pruned only when its bound exceeds the best work factor found
-so far by more than PRUNE_MARGIN = 1e-6 bits.  The bound and the exact values
-come from different lgamma arguments, so the proof holds only up to rounding:
+The search starts from an initial incumbent, the bar, and an interval is
+pruned only when its bound exceeds min(bar, best work factor found so far)
+by more than PRUNE_MARGIN = 1e-6 bits.  The bound and the exact values come
+from different lgamma arguments, so the proof holds only up to rounding:
 against exact integer binomials, log2 C(a, b) via lgamma is off by at most
 1e-10 bits for a <= 2e4 and 4e-10 bits for a <= 7e4, and each side sums four
 such terms.  The margin is over 250 times that worst case, so no s whose
 computed work factor ties or beats the incumbent is ever pruned.  Intervals
 of at most LEAF_SIZE shift counts are scanned with isd_wf itself, lower half
-first, keeping the first strict minimum (ties go to the smallest s): the
-result equals a full scan of every s in every field.
+first, keeping the first strict minimum (ties go to the smallest s).
+
+With bar = inf this is the minimization isda_wf_at reports, and the result
+equals a full scan of every s in every field.  A finite bar decides whether
+the minimum reaches it (isda_secure, asked by the optimizer at the security
+target): the search stops at the first s whose work factor is below the bar,
+and the argument above, with the same margin, shows that every pruned s is
+at or above it.  So the minimum reaches the bar exactly when no s below it
+turns up and some s is feasible at all.
 
 Binomials are evaluated in log2 through lgamma, so code lengths in the tens
 of thousands stay exact to float precision.
@@ -65,7 +73,7 @@ from .errors import ParameterError
 
 __all__ = [
     "IsdInstance", "WfReport", "isd_wf", "isd_success_probability",
-    "dca_wf_at", "isda_wf_at",
+    "dca_wf_at", "isda_wf_at", "isda_secure",
     "q_space_size", "h_enumeration_wf", "dca_table", "isda_table",
 ]
 
@@ -132,13 +140,15 @@ def _log2_success(log2_pi_one, n_targets: int):
 def _grid_eval(n: int, k_lo: int, k_hi: int, w: int, ps_max: int, ell_max: int):
     """Cost model over the (p_s, l) grid for dimensions k in [k_lo, k_hi].
 
-    Returns (feasible, log2 pi_one, c_iter, p_s grid, l grid).  Each term takes
-    the end of the range least favourable to the attacker (see the module
-    docstring); with k_lo == k_hi it is the exact model at k.
+    Returns (feasible, log2 pi_one, c_iter, p_s column, l row).  Terms in p_s
+    alone are evaluated on the (ps_max, 1) column and terms in l alone on the
+    (1, ell_max) row; only C(n-k-l, w-2 p_s) needs the full grid, and
+    broadcasting gives every cell the value a full grid would.  Each term
+    takes the end of the range least favourable to the attacker (see the
+    module docstring); with k_lo == k_hi it is the exact model at k.
     """
-    ps = np.arange(1, ps_max + 1)
-    ell = np.arange(1, ell_max + 1)
-    psg, ellg = np.meshgrid(ps, ell, indexing="ij")
+    psg = np.arange(1, ps_max + 1)[:, None]
+    ellg = np.arange(1, ell_max + 1)[None, :]
 
     feasible = (2 * psg <= w) & (psg <= k_hi // 2) & (w - 2 * psg <= n - k_lo - ellg)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -162,7 +172,7 @@ def isd_wf(inst: IsdInstance) -> WfReport:
         raise ParameterError("no feasible (p_s, l) pair for this instance")
     flat = int(np.argmin(wf))
     i, j = np.unravel_index(flat, wf.shape)
-    return WfReport(float(wf[i, j]), int(psg[i, j]), int(ellg[i, j]))
+    return WfReport(float(wf[i, j]), int(psg[i, 0]), int(ellg[0, j]))
 
 
 def isd_success_probability(inst: IsdInstance, p_s: int, ell: int) -> float:
@@ -202,15 +212,21 @@ def _isda_bound(n: int, k0: int, t: int, s_lo: int, s_hi: int,
     return float(bound.min())
 
 
-@lru_cache(maxsize=None)
-def _isda_cached(n0: int, p: int, t: int) -> WfReport:
+def _isda_search(n0: int, p: int, t: int, bar: float):
+    """Branch-and-bound over 1 <= s < p with the initial incumbent bar.
+
+    Yields each new best WfReport, in search order: with bar = inf the last
+    one is the minimum; with a finite bar a caller may stop at the first one
+    below it.  Intervals are pruned above min(bar, best) + PRUNE_MARGIN.
+    """
     n, k0 = n0 * p, (n0 - 1) * p
     best: WfReport | None = None
     stack = [(1, p - 1)] if p > 1 else []
     while stack:
         s_lo, s_hi = stack.pop()
         bound = _isda_bound(n, k0, t, s_lo, s_hi, PS_MAX, ELL_MAX)
-        if bound == math.inf or (best is not None and bound > best.log2_wf + PRUNE_MARGIN):
+        incumbent = bar if best is None else min(bar, best.log2_wf)
+        if bound == math.inf or bound > incumbent + PRUNE_MARGIN:
             continue
         if s_hi - s_lo < LEAF_SIZE:
             for s in range(s_lo, s_hi + 1):
@@ -220,9 +236,17 @@ def _isda_cached(n0: int, p: int, t: int) -> WfReport:
                     continue
                 if best is None or rep.log2_wf < best.log2_wf:
                     best = WfReport(rep.log2_wf, rep.p_s, rep.ell, s)
+                    yield best
         else:
             mid = (s_lo + s_hi) // 2
             stack += [(mid + 1, s_hi), (s_lo, mid)]
+
+
+@lru_cache(maxsize=None)
+def _isda_cached(n0: int, p: int, t: int) -> WfReport:
+    best = None
+    for best in _isda_search(n0, p, t, math.inf):
+        pass
     if best is None:
         raise ParameterError("no feasible shift count for this instance")
     return best
@@ -239,6 +263,31 @@ def isda_wf_at(n0: int, p: int, t: int) -> WfReport:
     if n0 < 2:
         raise ParameterError("need n0 >= 2 circulant blocks")
     return _isda_cached(n0, p, t)
+
+
+def isda_secure(n0: int, p: int, t: int, target_bits: float) -> bool:
+    """Whether isda_wf_at(n0, p, t).log2_wf >= target_bits, False where it raises.
+
+    Decides without minimizing: the search runs with target_bits as its bar
+    and stops at the first s below it.  If none is found, the answer is yes
+    exactly when some s is feasible, which isd_wf tells from s = 1 upward
+    (s = 1 already is for 2 <= t <= p).  An infinite bound over all of
+    [1, p) already proves that no s is.
+    """
+    if n0 < 2:
+        raise ParameterError("need n0 >= 2 circulant blocks")
+    if any(rep.log2_wf < target_bits for rep in _isda_search(n0, p, t, target_bits)):
+        return False
+    n, k0 = n0 * p, (n0 - 1) * p
+    if p < 2 or _isda_bound(n, k0, t, 1, p - 1, PS_MAX, ELL_MAX) == math.inf:
+        return False
+    for s in range(1, p):
+        try:
+            isd_wf(IsdInstance(n=n, k=k0 + s, w=t, n_targets=s))
+        except ParameterError:
+            continue
+        return True
+    return False
 
 
 def q_space_size(p: int, n0: int) -> float:

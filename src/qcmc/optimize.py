@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TextIO
 
-from .attacks import dca_wf_at, h_enumeration_wf, isda_wf_at
+from .attacks import dca_wf_at, h_enumeration_wf, isda_secure, isda_wf_at
 from .design import SystemParams, realizable_sigma, weight_matrix
 from .errors import ParameterError
 from .threshold import ThresholdQuery, bf_threshold
@@ -67,6 +67,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if not 0 < self.target_security_bits < math.inf:
             raise ParameterError("security target must be positive and finite")
+        if self.n0 < 2:
+            raise ParameterError("need n0 >= 2 circulant blocks")
         if not (1 <= self.I < math.inf and 1 <= self.alpha < math.inf):
             raise ParameterError("I and alpha must be finite and at least 1")
         if any(d % 2 == 0 for d in self.d_v_candidates):
@@ -115,21 +117,21 @@ def security_targets(target_bits: float, n0: int, p_ref: int) -> tuple[int, int]
     d_v' is the smallest public column weight in [1, D_V_PRIME_MAX] with DCA
     work factor >= target; t the smallest intentional error count in
     [1, T_MAX] with ISDA work factor >= target.  Both are evaluated at
-    n = n0 * p_ref, the conservative short length.
+    n = n0 * p_ref, the conservative short length.  Each binary-search step
+    decides whether the target is met rather than computing the minimum work
+    factor: the ISDA search stops at the first shift count below the target.
     """
+    if n0 < 2:
+        raise ParameterError("need n0 >= 2 circulant blocks")
+
     def dca_ok(v: int) -> bool:
         try:
             return dca_wf_at(n0, p_ref, v).log2_wf >= target_bits
         except ParameterError:
             return False
 
-    def isda_ok(v: int) -> bool:
-        try:
-            return isda_wf_at(n0, p_ref, v).log2_wf >= target_bits
-        except ParameterError:
-            return False  # e.g. w too small for any split weight
-
-    return _smallest_over(1, D_V_PRIME_MAX, dca_ok), _smallest_over(1, T_MAX, isda_ok)
+    return (_smallest_over(1, D_V_PRIME_MAX, dca_ok),
+            _smallest_over(1, T_MAX, lambda v: isda_secure(n0, p_ref, v, target_bits)))
 
 
 def _snap_candidates(d_v_prime_target: int, d_v: int, n0: int, cap: float) -> list[Fraction]:

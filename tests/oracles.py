@@ -1,16 +1,20 @@
 """Independent oracles for tests: dense GF(2) linear algebra, plain polynomial
 division over GF(2), the shift-xor ring product, ring inversion by the
 extended Euclidean algorithm, a small executable Stern search, the full ISDA
-shift-count scan, the decoding threshold searched once per decision
-threshold b, Tanner-graph gathers through explicit index tables, and the
-decoders as they were before their passes became incremental and in place.
+shift-count scan, the Stern cost grid on a full meshgrid, the security
+targets searched by full ISDA minimization, the decoding threshold searched
+once per decision threshold b, Tanner-graph gathers through explicit index
+tables, and the decoders as they were before their passes became
+incremental and in place.
 
 Everything here is deliberately separate from the package implementation:
 dense matrices instead of ring arithmetic, schoolbook algorithms instead of
 packed-bit tricks or FFTs, Euclid instead of exponentiation, an exhaustive
-scan instead of branch-and-bound, one t search per b instead of one for all
-b, fancy-index gathers instead of circulant rotations, full recomputation
-instead of incremental updates, so agreement is meaningful.
+scan instead of branch-and-bound, a full meshgrid instead of broadcast
+one-dimensional terms, a minimum instead of a decision against the target,
+one t search per b instead of one for all b, fancy-index gathers instead of
+circulant rotations, full recomputation instead of incremental updates, so
+agreement is meaningful.
 
 The package's inversion a^-1 = a^(E-1) follows T. Itoh and S. Tsujii, "A fast
 algorithm for computing multiplicative inverses in GF(2^m) using normal
@@ -23,12 +27,14 @@ import math
 
 import numpy as np
 
-from qcmc.attacks import IsdInstance, WfReport, isd_wf
+from qcmc.attacks import (ELL_MAX, PS_MAX, IsdInstance, WfReport, _log2_comb, _log2_success,
+                          dca_wf_at, isd_wf, isda_wf_at)
 from qcmc.decoder import (LLR_CLAMP, Algorithm, DecodeOutcome, DecoderConfig, _check_p0,
                           _checked_word)
 from qcmc.design import ParityCheck
 from qcmc.errors import NotInvertibleError, ParameterError
 from qcmc.gf2 import BitPolynomial, _cyclic_shift
+from qcmc.optimize import D_V_PRIME_MAX, T_MAX, _smallest_over
 from qcmc.threshold import MAX_RECURSION_STEPS, _converges
 
 
@@ -225,6 +231,65 @@ def isda_full_scan(n0: int, p: int, t: int) -> WfReport:
     if best is None:
         raise ParameterError("no feasible shift count for this instance")
     return best
+
+
+def meshgrid_eval(n: int, k_lo: int, k_hi: int, w: int, ps_max: int, ell_max: int):
+    """The Stern cost grid with every term evaluated on a full (p_s, l) meshgrid."""
+    ps = np.arange(1, ps_max + 1)
+    ell = np.arange(1, ell_max + 1)
+    psg, ellg = np.meshgrid(ps, ell, indexing="ij")
+
+    feasible = (2 * psg <= w) & (psg <= k_hi // 2) & (w - 2 * psg <= n - k_lo - ellg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log2_pi_one = (_log2_comb(k_hi // 2, psg) + _log2_comb(k_hi - k_hi // 2, psg)
+                       + _log2_comb(n - k_lo - ellg, w - 2 * psg) - _log2_comb(n, w))
+        half_rows = np.exp2(_log2_comb(k_lo - k_lo // 2, psg))
+        cost = ((n - k_hi) ** 2 * (n + k_hi) / 2.0
+                + 2.0 * ellg * psg * half_rows
+                + 2.0 * psg * (n - k_hi) * half_rows**2 / np.exp2(ellg))
+    return feasible, log2_pi_one, cost, psg, ellg
+
+
+def meshgrid_isd_wf(inst: IsdInstance) -> WfReport:
+    """isd_wf over the full meshgrid of meshgrid_eval."""
+    feasible, log2_pi_one, cost, psg, ellg = meshgrid_eval(inst.n, inst.k, inst.k, inst.w,
+                                                           PS_MAX, ELL_MAX)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log2_pi = _log2_success(log2_pi_one, inst.n_targets)
+        wf = np.where(feasible, np.log2(cost) - log2_pi, np.inf)
+    if not np.isfinite(wf).any():
+        raise ParameterError("no feasible (p_s, l) pair for this instance")
+    flat = int(np.argmin(wf))
+    i, j = np.unravel_index(flat, wf.shape)
+    return WfReport(float(wf[i, j]), int(psg[i, j]), int(ellg[i, j]))
+
+
+def meshgrid_isda_bound(n: int, k0: int, t: int, s_lo: int, s_hi: int,
+                        ps_max: int, ell_max: int) -> float:
+    """The ISDA interval bound over the full meshgrid of meshgrid_eval."""
+    feasible, log2_pi_one, cost, _, _ = meshgrid_eval(n, k0 + s_lo, k0 + s_hi, t,
+                                                      ps_max, ell_max)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log2_pi = np.minimum(log2_pi_one + math.log2(s_hi), 0.0)
+        bound = np.where(feasible, np.log2(cost) - log2_pi, np.inf)
+    return float(bound.min())
+
+
+def security_targets_by_minimum(target_bits: float, n0: int, p_ref: int) -> tuple[int, int]:
+    """Smallest (d_v', t) meeting the target, each step comparing a full minimum."""
+    def dca_ok(v: int) -> bool:
+        try:
+            return dca_wf_at(n0, p_ref, v).log2_wf >= target_bits
+        except ParameterError:
+            return False
+
+    def isda_ok(v: int) -> bool:
+        try:
+            return isda_wf_at(n0, p_ref, v).log2_wf >= target_bits
+        except ParameterError:
+            return False  # e.g. w too small for any split weight
+
+    return _smallest_over(1, D_V_PRIME_MAX, dca_ok), _smallest_over(1, T_MAX, isda_ok)
 
 
 def t_max_for_b(n: int, d_c: int, d_v: int, b: int, max_steps: int) -> int:

@@ -7,10 +7,11 @@ import random
 import numpy as np
 import pytest
 
-from oracles import count_weight_w_codewords, isda_full_scan, stern_search_iterations
+from oracles import (count_weight_w_codewords, isda_full_scan, meshgrid_isd_wf,
+                     meshgrid_isda_bound, stern_search_iterations)
 from qcmc import attacks
 from qcmc.attacks import (IsdInstance, dca_wf_at, dca_table, h_enumeration_wf,
-                          isd_success_probability, isd_wf, isda_wf_at, isda_table,
+                          isd_success_probability, isd_wf, isda_secure, isda_wf_at, isda_table,
                           q_space_size, write_wf_csv)
 from qcmc.errors import ParameterError
 
@@ -128,6 +129,54 @@ def _wf_single(inst, ps, ell):
     return math.log2(cost) - math.log2(pi)
 
 
+def _kernel_cases(count: int = 2400, seed: int = 1989) -> list[tuple[int, int, int, int]]:
+    """(n, k, w, n_targets): DCA and ISDA shapes, tiny p, t in {0, 1}, n <= 4 * 32768."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        n0 = rng.choice((2, 3, 4))
+        kind = i % 4
+        if kind == 0:  # DCA: the dual code searched for weight-n0 d_v' rows
+            p = rng.choice((rng.randint(2, 64), rng.randint(65, 32768)))
+            cases.append((n0 * p, p, n0 * rng.randint(1, min(300, p - 1)), p))
+            continue
+        p = rng.randint(1, 12) if kind == 1 else rng.choice((rng.randint(2, 700),
+                                                             rng.randint(701, 32768)))
+        s = rng.randint(1, max(1, p - 1))
+        t = (rng.choice((0, 1)) if kind == 2 else
+             rng.choice((rng.randint(0, 20), rng.randint(21, 120), rng.randint(121, 700))))
+        cases.append((n0 * p, (n0 - 1) * p + s, min(t, n0 * p - 1), s))
+    return cases
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ParameterError as exc:
+        return str(exc)
+
+
+class TestGridOracle:
+    def test_equals_meshgrid(self):
+        # the broadcast grid must give every cell the meshgrid's value, so the
+        # reported optimum and the interval bound agree bit for bit
+        rng = random.Random(2)
+        compared = 0
+        for n, k, w, targets in _kernel_cases():
+            try:
+                inst = IsdInstance(n, k, w, targets)
+            except ParameterError:
+                inst = None
+            if inst is not None:
+                assert _outcome(isd_wf, inst) == _outcome(meshgrid_isd_wf, inst), inst
+                compared += 1
+            s_lo = targets
+            s_hi = s_lo + rng.randint(0, max(0, n - k - 1))
+            args = (n, k - s_lo, w, s_lo, s_hi, attacks.PS_MAX, attacks.ELL_MAX)
+            assert attacks._isda_bound(*args) == meshgrid_isda_bound(*args), args
+        assert compared >= 2000
+
+
 class TestAttackCurves:
     def test_dca_anchor_100(self):
         rep = dca_wf_at(4, 4096, 59)
@@ -227,9 +276,37 @@ class TestIsdaSearch:
         assert rep.s in calls
         assert len(calls) <= 0.05 * 4095
 
+    @pytest.mark.parametrize("n0,p,t", ISDA_POINTS)
+    def test_decision_equals_full_scan(self, n0, p, t):
+        try:
+            m = isda_full_scan(n0, p, t).log2_wf
+        except ParameterError:
+            assert not isda_secure(n0, p, t, 50)
+            assert not isda_secure(n0, p, t, 100)
+            return
+        for target in (m, math.nextafter(m, -math.inf), math.nextafter(m, math.inf),
+                       m - 5, m + 5):
+            assert isda_secure(n0, p, t, target) == (m >= target), target
+
+    def test_decision_tolerates_bound_rounding(self, monkeypatch):
+        # a bound that overshoots the exact minimum of its interval by less
+        # than PRUNE_MARGIN, as lgamma rounding may, must not prune that minimum
+        def tight_bound(n, k0, t, s_lo, s_hi, ps_max, ell_max):
+            wfs = [_outcome(isd_wf, IsdInstance(n, k0 + s, t, s)) for s in range(s_lo, s_hi + 1)]
+            return min((r.log2_wf for r in wfs if isinstance(r, attacks.WfReport)),
+                       default=math.inf) + attacks.PRUNE_MARGIN / 2
+
+        monkeypatch.setattr(attacks, "_isda_bound", tight_bound)
+        for n0, p, t in [(2, 97, 32), (3, 231, 65), (2, 336, 105)]:
+            m = isda_full_scan(n0, p, t).log2_wf
+            assert isda_secure(n0, p, t, m)
+            assert not isda_secure(n0, p, t, math.nextafter(m, math.inf))
+
     @pytest.mark.parametrize("n0", [-1, 0, 1])
     def test_fewer_than_two_blocks_rejected(self, n0):
         with pytest.raises(ParameterError):
             isda_wf_at(n0, 1024, 30)
+        with pytest.raises(ParameterError):
+            isda_secure(n0, 1024, 30, 100)
         with pytest.raises(ParameterError):
             dca_wf_at(n0, 1024, 20)

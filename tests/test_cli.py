@@ -301,6 +301,15 @@ def test_wf_isda_rejects_single_block(workdir, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("n0", ["1", "0", "-3"])
+def test_optimize_rejects_fewer_than_two_blocks(workdir, capsys, n0):
+    assert main(["optimize", "--security", "100", "--n0", n0]) == 2
+    captured = capsys.readouterr()
+    assert "error-category: ParameterError" in captured.err
+    assert "error: need n0 >= 2 circulant blocks" in captured.err
+    assert captured.out == ""
+
+
 def test_optimize_table(workdir, capsys):
     assert main(["optimize", "--security", "100", "--n0", "4", "--I", "10",
                  "--csv", "designs.csv"]) == 0

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import security_targets_by_minimum
+from qcmc import attacks
 from qcmc.attacks import dca_wf_at, isda_wf_at
 from qcmc.errors import ParameterError
 from qcmc.optimize import (OptimizerConfig, complexity_c, m_star, optimize_design,
@@ -83,6 +85,48 @@ class TestSecurityTargets:
         with pytest.raises(ParameterError):
             security_targets(100000, 4, 4096)
 
+    @pytest.mark.parametrize("n0", [-3, 0, 1])
+    def test_fewer_than_two_blocks_rejected(self, n0):
+        with pytest.raises(ParameterError, match="need n0 >= 2 circulant blocks"):
+            security_targets(100, n0, 4096)
+
+    def test_security_targets_scans_few_shift_counts(self, monkeypatch):
+        calls = []
+        original = attacks.isd_wf
+
+        def counting(inst, *args):
+            calls.append(inst.n_targets)
+            return original(inst, *args)
+
+        attacks._isda_cached.cache_clear()
+        monkeypatch.setattr(attacks, "isd_wf", counting)
+        assert security_targets(100, 4, 4096) == (58, 47)
+        assert len(calls) <= 100
+
+
+def _targets_or_error(fn, lam, n0, p_ref):
+    try:
+        return fn(lam, n0, p_ref)
+    except ParameterError as exc:
+        return str(exc)
+
+
+# At lam = 1 the reference minimizes the ISDA work factor at t <= 10, where
+# branch-and-bound prunes almost nothing: 5 to 10 s per case at p_ref >= 4096,
+# so those six cases run with the nightly suite.
+TARGET_CASES = [pytest.param(lam, n0, p_ref,
+                             marks=[pytest.mark.nightly] if lam == 1 and p_ref >= 4096 else [])
+                for lam in (1, 60, 80, 100, 128, 160, 100000)
+                for n0 in (2, 3, 4)
+                for p_ref in (32, 1024, 4096, 7168)]
+
+
+class TestSecurityTargetsOracle:
+    @pytest.mark.parametrize("lam,n0,p_ref", TARGET_CASES)
+    def test_decision_equals_minimum(self, lam, n0, p_ref):
+        expected = _targets_or_error(security_targets_by_minimum, lam, n0, p_ref)
+        assert _targets_or_error(security_targets, lam, n0, p_ref) == expected
+
 
 class TestOptimizerConfig:
     def test_basic_validation(self):
@@ -90,6 +134,11 @@ class TestOptimizerConfig:
             OptimizerConfig(0)
         with pytest.raises(ParameterError):
             OptimizerConfig(100, I=0.5)
+
+    @pytest.mark.parametrize("n0", [-3, 0, 1])
+    def test_fewer_than_two_blocks_rejected(self, n0):
+        with pytest.raises(ParameterError, match="need n0 >= 2 circulant blocks"):
+            OptimizerConfig(100, n0=n0)
 
     def test_even_candidates_rejected(self):
         # even column weights give even-weight circulants, which are never
