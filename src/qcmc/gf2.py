@@ -9,17 +9,22 @@ A ring element is a bit-packed Python integer (BitPolynomial, bit i =
 coefficient of x^i); SparseSupport keeps the sorted support of the low-weight
 parity-check blocks, from which the decoder builds its rotation shifts.
 
-poly_mul picks its method by the weight w of the sparser operand.  Up to
-FFT_CROSSOVER it XORs w cyclic shifts of the other operand, which is the
-sparse H/Q case (about d_v shifts).  Above it, it takes the linear
-convolution of the two coefficient arrays with numpy's real FFT at the
-smallest power-of-two length >= 2p - 1, rounds to integers, folds bins
-p..2p-2 onto 0..p-2 and reduces mod 2.  The rounding is exact: every
-coefficient of the integer product is a count of at most p terms, and
-float64 round-off stays far below 1/2 (under 2e-11 at p = 32768, the largest
-p the optimizer searches).  FFT_CROSSOVER = 256 is where the two methods cost
-the same at p = 4096 (about 0.23 ms each, x86-64, numpy 2.4); the crossing
-weight grows with p, from about 160 at p = 1024 to above 256 at p = 6272.
+Every product runs through one kernel, _product_bits, which returns the sum
+of a * b over a list of pairs: poly_mul passes one pair, qc_mul one list per
+output block.  A pair whose sparser operand has weight up to FFT_CROSSOVER
+XORs that many cyclic shifts of the other operand (the sparse H/Q case,
+about d_v shifts).  Every other pair adds the product of the two operands'
+cyclic length-p real FFTs into the block's spectrum; one inverse transform
+of length p, rounding and a reduction mod 2 close the block, so there is no
+zero padding and no fold.  Spectra are cached per ring element (_spectrum,
+the last 64, read-only), so a key's dense blocks are transformed once and
+not on every product.  The rounding is exact: every bin of a block's integer
+sum is a count of at most k p for k summed pairs, and the worst round-off
+measured, for 8 all-ones pairs at the prime p = 32749, is 4.4e-10, far
+below 1/2.  FFT_CROSSOVER = 256 lies between the weights at which the two
+methods cost the same: about 150 at p = 4096 and 5120, 190 at p = 6272 and
+above 256 from p = 16384 (x86-64, numpy 2.4: a dense product with a cold
+cache takes about 0.13 ms at p = 4096, one shift about 0.9 us).
 
 poly_inverse has no arithmetic of its own.  For p = 2^e r with r odd and
 D = ord_r(2), every unit satisfies a^E = 1 with E = 2^e (2^D - 1), so
@@ -37,6 +42,7 @@ lowercase hex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -188,23 +194,35 @@ def _cyclic_shift(bits: int, s: int, p: int) -> int:
     return ((bits << s) | (bits >> (p - s))) & mask
 
 
+@lru_cache(maxsize=64)
+def _spectrum(a: BitPolynomial) -> np.ndarray:
+    """Cyclic length-p real DFT of a's coefficients, cached per element and read-only."""
+    spec = np.fft.rfft(a.coeffs(), a.p)
+    spec.flags.writeable = False
+    return spec
+
+
+def _product_bits(pairs, p: int) -> int:
+    """Bits of the sum of a * b over pairs: shift-xor sparse pairs, sum dense spectra."""
+    acc, terms = 0, []
+    for a, b in pairs:
+        if a.weight > b.weight:
+            a, b = b, a
+        if a.weight > FFT_CROSSOVER:
+            terms.append(_spectrum(a) * _spectrum(b))
+        elif a:
+            for s in a.support():
+                acc ^= _cyclic_shift(b.bits, s, p)
+    if terms:
+        acc ^= bits_to_int(np.rint(np.fft.irfft(sum(terms), p)).astype(np.int64) & 1)
+    return acc
+
+
 def poly_mul(a: BitPolynomial, b: BitPolynomial) -> BitPolynomial:
-    """Product in R_p: shift-xor over a sparse operand, else an exact FFT convolution."""
+    """Product in R_p: shift-xor over a sparse operand, else an exact cyclic FFT product."""
     if a.p != b.p:
         raise ParameterError("mismatched moduli")
-    if a.weight > b.weight:
-        a, b = b, a
-    p = a.p
-    if a.weight <= FFT_CROSSOVER:
-        acc = 0
-        for s in a.support():
-            acc ^= _cyclic_shift(b.bits, s, p)
-        return BitPolynomial(p, acc)
-    size = 1 << (2 * p - 2).bit_length()
-    spectrum = np.fft.rfft(a.coeffs(), size) * np.fft.rfft(b.coeffs(), size)
-    counts = np.rint(np.fft.irfft(spectrum, size)[:2 * p - 1]).astype(np.int64)
-    counts[:p - 1] += counts[p:]
-    return BitPolynomial(p, bits_to_int(counts[:p] & 1))
+    return BitPolynomial(a.p, _product_bits(((a, b),), a.p))
 
 
 def _frobenius(a: BitPolynomial, k: int) -> BitPolynomial:
@@ -302,17 +320,11 @@ def qc_mul(a: QcMatrix, b: QcMatrix) -> QcMatrix:
     """Block matrix product over R_p; equals the dense GF(2) product of expansions."""
     if a.cols0 != b.rows0 or a.p != b.p:
         raise ParameterError("shape mismatch")
-    rows = []
-    for i in range(a.rows0):
-        row = []
-        for j in range(b.cols0):
-            acc = BitPolynomial.zero(a.p)
-            for k in range(a.cols0):
-                if a.blocks[i][k] and b.blocks[k][j]:
-                    acc = acc + poly_mul(a.blocks[i][k], b.blocks[k][j])
-            row.append(acc)
-        rows.append(tuple(row))
-    return QcMatrix(a.rows0, b.cols0, a.p, tuple(rows))
+    cols = tuple(zip(*b.blocks))
+    return QcMatrix(a.rows0, b.cols0, a.p, tuple(
+        tuple(BitPolynomial(a.p, _product_bits(zip(row, col), a.p)) for col in cols)
+        for row in a.blocks
+    ))
 
 
 def qc_transpose(a: QcMatrix) -> QcMatrix:

@@ -1,15 +1,17 @@
 """Independent oracles for tests: dense GF(2) linear algebra, plain polynomial
-division over GF(2), the shift-xor ring product, ring inversion by the
-extended Euclidean algorithm, a small executable Stern search, the full ISDA
-shift-count scan, the Stern cost grid on a full meshgrid, the security
-targets searched by full ISDA minimization, the decoding threshold searched
-once per decision threshold b, Tanner-graph gathers through explicit index
-tables, and the decoders as they were before their passes became
-incremental and in place.
+division over GF(2), the shift-xor ring product, the ring product by a
+zero-padded linear FFT and the block product summed one ring product at a
+time, ring inversion by the extended Euclidean algorithm, a small executable
+Stern search, the full ISDA shift-count scan, the Stern cost grid on a full
+meshgrid, the security targets searched by full ISDA minimization, the
+decoding threshold searched once per decision threshold b, Tanner-graph
+gathers through explicit index tables, and the decoders as they were before
+their passes became incremental and in place.
 
 Everything here is deliberately separate from the package implementation:
 dense matrices instead of ring arithmetic, schoolbook algorithms instead of
-packed-bit tricks or FFTs, Euclid instead of exponentiation, an exhaustive
+packed-bit tricks or FFTs, a folded linear convolution per block pair instead
+of summed cyclic spectra, Euclid instead of exponentiation, an exhaustive
 scan instead of branch-and-bound, a full meshgrid instead of broadcast
 one-dimensional terms, a minimum instead of a decision against the target,
 one t search per b instead of one for all b, fancy-index gathers instead of
@@ -33,7 +35,7 @@ from qcmc.decoder import (LLR_CLAMP, Algorithm, DecodeOutcome, DecoderConfig, _c
                           _checked_word)
 from qcmc.design import ParityCheck
 from qcmc.errors import NotInvertibleError, ParameterError
-from qcmc.gf2 import BitPolynomial, _cyclic_shift
+from qcmc.gf2 import FFT_CROSSOVER, BitPolynomial, QcMatrix, _cyclic_shift, bits_to_int
 from qcmc.optimize import D_V_PRIME_MAX, T_MAX, _smallest_over
 from qcmc.threshold import MAX_RECURSION_STEPS, _converges
 
@@ -112,6 +114,43 @@ def poly_mul_shift_xor(a: BitPolynomial, b: BitPolynomial) -> BitPolynomial:
     for s in support_bit_loop(a):
         acc ^= _cyclic_shift(bb, s, a.p)
     return BitPolynomial(a.p, acc)
+
+
+def linear_fft_poly_mul(a: BitPolynomial, b: BitPolynomial) -> BitPolynomial:
+    """Product in R_p by shift-xor up to FFT_CROSSOVER, else a zero-padded linear
+    FFT convolution at the smallest power-of-two length >= 2p - 1, folded mod x^p - 1."""
+    if a.p != b.p:
+        raise ParameterError("mismatched moduli")
+    if a.weight > b.weight:
+        a, b = b, a
+    p = a.p
+    if a.weight <= FFT_CROSSOVER:
+        acc = 0
+        for s in a.support():
+            acc ^= _cyclic_shift(b.bits, s, p)
+        return BitPolynomial(p, acc)
+    size = 1 << (2 * p - 2).bit_length()
+    spectrum = np.fft.rfft(a.coeffs(), size) * np.fft.rfft(b.coeffs(), size)
+    counts = np.rint(np.fft.irfft(spectrum, size)[:2 * p - 1]).astype(np.int64)
+    counts[:p - 1] += counts[p:]
+    return BitPolynomial(p, bits_to_int(counts[:p] & 1))
+
+
+def blockwise_qc_mul(a: QcMatrix, b: QcMatrix) -> QcMatrix:
+    """Block matrix product as one linear_fft_poly_mul per nonzero (i, k, j) pair."""
+    if a.cols0 != b.rows0 or a.p != b.p:
+        raise ParameterError("shape mismatch")
+    rows = []
+    for i in range(a.rows0):
+        row = []
+        for j in range(b.cols0):
+            acc = BitPolynomial.zero(a.p)
+            for k in range(a.cols0):
+                if a.blocks[i][k] and b.blocks[k][j]:
+                    acc = acc + linear_fft_poly_mul(a.blocks[i][k], b.blocks[k][j])
+            row.append(acc)
+        rows.append(tuple(row))
+    return QcMatrix(a.rows0, b.cols0, a.p, tuple(rows))
 
 
 def _poly_divmod(a: int, b: int) -> tuple[int, int]:

@@ -10,8 +10,9 @@ import pytest
 
 import qcmc
 import qcmc.gf2
-from oracles import (circulant_dense, euclid_inverse, gf2_inv, gf2_matmul, gf2_rank,
-                     poly_divides, poly_mul_shift_xor, support_bit_loop)
+from oracles import (blockwise_qc_mul, circulant_dense, euclid_inverse, gf2_inv, gf2_matmul,
+                     gf2_rank, linear_fft_poly_mul, poly_divides, poly_mul_shift_xor,
+                     support_bit_loop)
 from qcmc.errors import NotInvertibleError, ParameterError, SingularMatrixError
 from qcmc.gf2 import (FFT_CROSSOVER, BitPolynomial, QcMatrix, SparseSupport, bits_to_int,
                       int_to_bits, poly_inverse, poly_mul, qc_add, qc_invert,
@@ -19,9 +20,9 @@ from qcmc.gf2 import (FFT_CROSSOVER, BitPolynomial, QcMatrix, SparseSupport, bit
 from qcmc.optimize import DEFAULT_P_GRID
 from qcmc.prng import SeedStream
 
-# Tiny moduli, p = 257 (2p - 1 is one past a power of two, so the FFT length
-# doubles), both parities around the 100-bit point's p = 4096, a p that is not
-# a power of two, and the largest p the optimizer searches.
+# Tiny moduli, the prime p = 257 (a cyclic transform of prime length), both
+# parities around the 100-bit point's p = 4096, a p that is not a power of
+# two, and the largest p the optimizer searches.
 ORACLE_P = (1, 2, 3, 7, 257, 4095, 4096, 6272, max(DEFAULT_P_GRID))
 
 
@@ -29,6 +30,11 @@ def random_poly(p, rng, weight=None):
     if weight is None:
         return BitPolynomial(p, rng.take_bits(p))
     return BitPolynomial.from_support(p, rng.sample_distinct(p, weight))
+
+
+def dense_poly(p, rng):
+    """Random element of weight above FFT_CROSSOVER (p > FFT_CROSSOVER)."""
+    return BitPolynomial(p, rng.take_bits(p) | random_poly(p, rng, FFT_CROSSOVER + 1).bits)
 
 
 def random_qc(rows0, cols0, p, rng):
@@ -115,7 +121,7 @@ class TestProductOracle:
 
     def test_fft_rounding_margin_at_largest_p(self):
         p = max(DEFAULT_P_GRID)
-        size = 1 << (2 * p - 2).bit_length()
+        size = p  # poly_mul's transforms are cyclic, of length p
         rng = SeedStream(22, "oracle-rounding")
         ones = np.ones(p, dtype=np.uint8)
         pairs = [(ones, ones)] + [(int_to_bits(rng.take_bits(p), p),
@@ -123,6 +129,71 @@ class TestProductOracle:
         for a, b in pairs:
             raw = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)
             assert np.abs(raw - np.rint(raw)).max() < 0.25
+
+
+class TestSpectralKernel:
+    """Summed cyclic spectra equal the folded linear FFT and the per-block sum."""
+
+    @pytest.mark.parametrize("p", sorted({257, 457, 8191, *DEFAULT_P_GRID}))
+    def test_poly_mul_equals_linear_fft(self, p):
+        rng = SeedStream(25, f"spectral-{p}")
+        full = BitPolynomial(p, (1 << p) - 1)
+        pairs = [(full, full), (full, dense_poly(p, rng)), (dense_poly(p, rng), dense_poly(p, rng)),
+                 (random_poly(p, rng, weight=FFT_CROSSOVER + 1), dense_poly(p, rng))]
+        for a, b in pairs:
+            assert poly_mul(a, b) == linear_fft_poly_mul(a, b)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("p", (32749, max(DEFAULT_P_GRID)))
+    def test_summed_all_ones_pairs(self, p, k):
+        # k all-ones pairs put k p in every bin, the largest counts a block sums;
+        # the dense pair last keeps the product from being 0 or all-ones
+        rng = SeedStream(26, f"spectral-sum-{p}-{k}")
+        full = BitPolynomial(p, (1 << p) - 1)
+        a = QcMatrix.from_blocks([[full] * k + [dense_poly(p, rng)]])
+        b = QcMatrix.from_blocks([[full]] * k + [[dense_poly(p, rng)]])
+        assert qc_mul(a, b) == blockwise_qc_mul(a, b)
+
+    def test_mixed_output_block(self):
+        # per output block: sparse x dense, dense x dense, zero x dense,
+        # dense x zero, dense x sparse and, last, dense x dense again
+        p = 457
+        rng = SeedStream(27, "spectral-mixed")
+        zero = BitPolynomial.zero(p)
+
+        def dense():
+            return dense_poly(p, rng)
+
+        a = QcMatrix.from_blocks([[random_poly(p, rng, 15), dense(), zero, dense(), dense(),
+                                   dense()]])
+        b = QcMatrix.from_blocks([[dense(), dense()], [dense(), zero], [dense(), dense()],
+                                  [zero, dense()], [random_poly(p, rng, 3), dense()],
+                                  [dense(), dense()]])
+        product = qc_mul(a, b)
+        assert product == blockwise_qc_mul(a, b)
+        for j in range(2):
+            acc = BitPolynomial.zero(p)
+            for k in range(6):
+                acc = acc + poly_mul_shift_xor(a.blocks[0][k], b.blocks[k][j])
+            assert product.blocks[0][j] == acc
+
+    def test_cold_cache_equals_warm(self):
+        rng = SeedStream(28, "spectral-cache")
+        a, b = random_qc(1, 3, 4096, rng), random_qc(3, 4, 4096, rng)
+        qcmc.gf2._spectrum.cache_clear()
+        cold = qc_mul(a, b)
+        before = qcmc.gf2._spectrum.cache_info()
+        warm = qc_mul(a, b)
+        after = qcmc.gf2._spectrum.cache_info()
+        assert cold == warm == blockwise_qc_mul(a, b)
+        assert after.misses == before.misses and after.hits == before.hits + 24
+
+    def test_spectrum_is_read_only(self):
+        spectrum = qcmc.gf2._spectrum(BitPolynomial(457, (1 << 457) - 1))
+        with pytest.raises(ValueError):
+            spectrum[0] = 0
+        with pytest.raises(ValueError):
+            spectrum += 1
 
 
 def test_import_does_not_load_scipy_signal():
