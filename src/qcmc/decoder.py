@@ -7,6 +7,8 @@ So each edge class (i, a) is one cyclic rotation of a length-p row, by a from
 variables to checks and by (p - a) mod p back.  Dense passes accumulate those
 rotations in place, in edge order; sparse ones scatter.  Bit flipping is
 incremental: flips update the syndrome, toggled checks the unsatisfied counts.
+Sum-product's first round is closed-form (Gallager): each message is +/-one scalar
+signed by parities, bitwise equal to the general round's as its every step is odd.
 
 Decoders are pure: inputs are never modified, and identical
 (inputs, config) always produce identical outcomes.
@@ -174,19 +176,30 @@ def _check_update(tnh: np.ndarray) -> np.ndarray:
     return np.clip(np.arctanh(ratio, out=ratio), -LLR_CLAMP / 2, LLR_CLAMP / 2, out=ratio)
 
 
-def _decode_spa(index, received: np.ndarray, p0: float, cap: int):
-    """Log-domain sum-product decoding on a binary symmetric channel with crossover p0.
+def _first_round(index, received: np.ndarray, synd: np.ndarray, half_llr: float) -> np.ndarray:
+    """The first round's halved check-to-variable messages in closed form.  Every input is
+    +/-half_llr and each step of _check_update(tanh(.)) is odd bit for bit, so each output
+    is its m for inputs all +half_llr, negated where the received bit and syndrome bit differ."""
+    m = _check_update(np.tanh(np.full(index[0].shape + (1,), half_llr)))[0, 0, 0]
+    differs = _spread(np.tile(synd.view(np.uint8), index[0].shape + (1,)), received, index[0])
+    return np.where(differs, -m, m)
+
+
+def _decode_spa(index, received: np.ndarray, synd: np.ndarray, p0: float, cap: int):
+    """Log-domain sum-product decoding on a binary symmetric channel with crossover p0,
+    from the received word's syndrome synd; the first round is _first_round's closed form.
     Edge messages are halved, as tanh and artanh take them; scaling by 2 is exact and
     |total| is 0 or far above the subnormals, so all sums round as they would unhalved."""
-    channel = math.log((1.0 - p0) / p0) * (1.0 - 2.0 * received.astype(np.float64))
-    edges = _spread(np.zeros(index[0].shape + channel.shape[-1:]), 0.5 * channel, index[0])
+    llr = math.log((1.0 - p0) / p0)
+    channel = llr * (1.0 - 2.0 * received.astype(np.float64))
+    edges = _first_round(index, received, synd, 0.5 * llr)
     for iterations in range(1, cap + 1):
-        _check_update(np.tanh(edges, out=edges))
         total = channel + 2.0 * _accumulate(np.add, np.zeros_like(channel), edges, index[1])
-        if not _syndrome(index, total < 0.0).any():
-            return True, total < 0.0, iterations
+        success = not _syndrome(index, total < 0.0).any()
+        if success or iterations == cap:
+            return success, total < 0.0, iterations
         np.clip(_spread(edges, 0.5 * total, index[0]), -LLR_CLAMP / 2, LLR_CLAMP / 2, out=edges)
-    return False, total < 0.0, cap
+        _check_update(np.tanh(edges, out=edges))
 
 
 def decode(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> DecodeOutcome:
@@ -208,5 +221,5 @@ def decode(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> DecodeOu
     elif p0 is None:
         success, word, iterations = _decode_bf(index, blocks.copy(), synd, b, cfg.max_iterations)
     else:
-        success, word, iterations = _decode_spa(index, blocks, p0, cfg.max_iterations)
+        success, word, iterations = _decode_spa(index, blocks, synd, p0, cfg.max_iterations)
     return DecodeOutcome(success, word.reshape(-1) ^ received, iterations)

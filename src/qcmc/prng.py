@@ -19,14 +19,15 @@ from .errors import ParameterError
 
 
 def normalize_seed(seed) -> bytes:
-    """Map an int, bytes, or hex string onto the canonical 32-byte seed."""
+    """Map an int, bytes, or hex string onto the canonical 32-byte seed; a hex string
+    of odd length reads as if it had a leading 0, so 'abc' and '0abc' are one seed."""
     if isinstance(seed, int):
         if seed < 0:
             raise ValueError("seed must be nonnegative")
         return (seed % (1 << 256)).to_bytes(32, "big")
     if isinstance(seed, str):
         try:
-            seed = bytes.fromhex(seed)
+            seed = bytes.fromhex("0" * (len(seed) % 2) + seed)
         except ValueError as exc:
             raise ParameterError(f"seed must be hex, got {seed!r}") from exc
     if isinstance(seed, (bytes, bytearray)):

@@ -29,3 +29,9 @@ def rdf_params():
 @pytest.fixture(scope="session")
 def rdf_h(rdf_params):
     return sample_h_rdf(rdf_params, SeedStream(2, "rdf-h"))
+
+
+@pytest.fixture(scope="session")
+def mdpc_h():
+    """The d_v = 85 MDPC code of the mc-mdpc benchmark workload."""
+    return sample_h_random(SystemParams.make(4, 6272, 85, 68), SeedStream(0x8D, "mdpc"))

@@ -41,6 +41,14 @@ def test_keygen_deterministic_files(workdir):
     assert first == second
 
 
+def test_keygen_odd_length_seed_reads_with_a_leading_zero(workdir):
+    def files(seed):
+        assert main(KEYGEN[:-4] + ["--seed", seed, "--out", "toy"]) == 0
+        return (workdir / "toy.sk").read_bytes(), (workdir / "toy.pk").read_bytes()
+
+    assert files("abc") == files("0abc")
+
+
 def test_encrypt_rejects_wrong_length(workdir, capsys):
     assert main(KEYGEN) == 0
     (workdir / "short.bin").write_bytes(b"abc")

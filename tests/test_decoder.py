@@ -1,6 +1,7 @@
 """Decoder correctness: syndromes, provable BF cases, SPA behavior, purity,
 the rotation kernel against index-table gathers, the scatter/recount crossovers,
-the SPA tiny-tanh guard, outcomes equal to the reference decoder, pinned outcomes."""
+the SPA tiny-tanh guard, SPA's closed-form first round, outcomes equal to the reference
+decoder, pinned outcomes."""
 
 import hashlib
 import math
@@ -13,7 +14,8 @@ import pytest
 from oracles import TannerGather, gf2_matmul, reference_decode
 from qcmc import decoder
 from qcmc.decoder import (LLR_CLAMP, Algorithm, DecoderConfig, _accumulate, _check_update,
-                          _count_unsatisfied, _index_for, _spread, decode, syndrome)
+                          _count_unsatisfied, _first_round, _index_for, _spread, decode,
+                          syndrome)
 from qcmc.design import SystemParams, sample_h_random, systematic_generator
 from qcmc.errors import ParameterError
 from qcmc.gf2 import qc_vec_mul
@@ -229,12 +231,6 @@ def qc_h():
     return sample_h_random(SystemParams.make(4, 4096, 15, 47), SeedStream(0x41, "pinned-h"))
 
 
-@pytest.fixture(scope="module")
-def mdpc_h():
-    """The d_v = 85 MDPC code of the mc-mdpc benchmark workload."""
-    return sample_h_random(SystemParams.make(4, 6272, 85, 68), SeedStream(0x8D, "mdpc"))
-
-
 class TestRotationKernel:
     """Every edge pass the decoders make equals the index-table gather exactly."""
 
@@ -417,6 +413,82 @@ def test_check_update_tiny_tanh_guard():
         halved = _check_update(tnh.copy())
     assert not np.isnan(halved).any()
     assert (2.0 * halved).tobytes() == expected.tobytes()
+
+
+@pytest.fixture(scope="module")
+def small_h():
+    return sample_h_random(SystemParams.make(2, 64, 5, 2), SeedStream(0x40, "small-h"))
+
+
+@pytest.fixture(scope="module")
+def mid_h():
+    return sample_h_random(SystemParams.make(4, 512, 9, 10), SeedStream(0x200, "mid-h"))
+
+
+NEAR_HALF = float(np.nextafter(0.5, 0.0))  # tanh(L/2) ~ 1.1e-16: every column takes the 1e-30 guard
+
+
+def first_round_p0s(params):
+    return [1e-300, 1e-6, params.t / params.n, 0.01, 0.3, 0.45, NEAR_HALF]
+
+
+def general_first_round(index, blocks, llr):
+    """The first round as every later round runs: spread, tanh, check update."""
+    channel = llr * (1.0 - 2.0 * blocks.astype(np.float64))
+    return _check_update(np.tanh(_spread(np.zeros(index[0].shape + blocks.shape[-1:]),
+                                         0.5 * channel, index[0])))
+
+
+@pytest.mark.parametrize("code", ["small_h", "mid_h", "qc_h", "mdpc_h"])
+def test_first_round_closed_form_is_bitwise_exact(request, code):
+    """_first_round returns the very bits of the general first round, signed zeros
+    included, for every p0 on the grid and words from weight 1 to all ones."""
+    h = request.getfixturevalue(code)
+    pr, index = h.params, _index_for(h)
+    words = [weight_t_error(pr.n, w, w) for w in (1, pr.t, pr.n // 3, pr.n // 2)]
+    for e in words + [np.ones(pr.n, np.uint8)]:
+        blocks = e.reshape(pr.n0, pr.p)
+        synd = decoder._syndrome(index, blocks)
+        for p0 in first_round_p0s(pr):
+            llr = math.log((1.0 - p0) / p0)
+            general = general_first_round(index, blocks, llr)
+            closed = _first_round(index, blocks, synd, 0.5 * llr)
+            assert closed.dtype == general.dtype and closed.shape == general.shape
+            assert np.array_equal(closed.view(np.uint64), general.view(np.uint64)), (
+                code, p0, int(e.sum()))
+            if p0 == NEAR_HALF and pr.n0 * pr.d_v >= 36:  # the product underflows to +/-0
+                assert not general.any() and np.signbit(general).any()
+
+
+def test_tanh_and_artanh_are_odd_and_lane_independent():
+    """What _first_round rests on, on a dense p0 grid: tanh at the halved channel LLRs
+    and at the messages m, and artanh at the clipped check ratios that give m, return
+    exactly negated values for negated inputs, and the same value in any SIMD lane."""
+    p0 = np.concatenate([np.geomspace(1e-300, 0.45, 20000),
+                         0.5 - np.geomspace(2.0 ** -54, 0.05, 5000)])
+    half_llr = np.array([0.5 * math.log((1.0 - q) / q) for q in p0])
+    tnh = np.tanh(half_llr)
+    ratios = np.concatenate([np.clip(np.broadcast_to(tnh, (d_c, tnh.size)).prod(axis=0) / tnh,
+                                     -1.0 + 1e-14, 1.0 - 1e-14) for d_c in (10, 36, 60, 340)])
+    m = np.clip(np.arctanh(ratios), -LLR_CLAMP / 2, LLR_CLAMP / 2)
+    for f, x in ((np.tanh, np.concatenate([half_llr, m])), (np.arctanh, ratios)):
+        assert np.array_equal(f(-x).view(np.uint64), (-f(x)).view(np.uint64))
+        for shift in range(1, 8):
+            assert np.array_equal(f(x[shift:]).view(np.uint64), f(x)[shift:].view(np.uint64))
+
+
+@pytest.mark.parametrize("p0", [1e-300, 1e-6, 0.45, NEAR_HALF])
+def test_spa_outcomes_equal_reference_at_extreme_p0(request, p0):
+    """From saturated messages (p0 = 1e-300) to every column guarded (NEAR_HALF)."""
+    for code, weight, cap in (("small_h", 2, 20), ("small_h", 12, 20), ("mid_h", 10, 10),
+                              ("mid_h", "dense", 3), ("qc_h", 100, 4)):
+        h = request.getfixturevalue(code)
+        pr = h.params
+        e = (np.random.RandomState(pr.p).randint(0, 2, pr.n).astype(np.uint8)
+             if weight == "dense" else weight_t_error(pr.n, weight, weight))
+        cfg = DecoderConfig(Algorithm.SPA, max_iterations=cap, p0=p0)
+        out, ref = decode(h, e, cfg), reference_decode(h, e, cfg)
+        assert outcome_key(out) == outcome_key(ref), (code, weight)
 
 
 # (code, algorithm, t, max_iterations, success, iterations_used, sha256 of error_estimate)

@@ -1,7 +1,10 @@
 """Deterministic seed streams: reproducibility, domain separation, sampling."""
 
+import hashlib
+
 import pytest
 
+from qcmc.errors import ParameterError
 from qcmc.prng import SeedStream, normalize_seed
 
 
@@ -13,6 +16,22 @@ def test_seed_normalization():
     assert normalize_seed(b"\x01" * 32) == b"\x01" * 32
     with pytest.raises(TypeError):
         normalize_seed(1.5)
+
+
+@pytest.mark.parametrize("odd, padded", [("abc", "0abc"), ("5", "05"), ("f" * 63, "0" + "f" * 63)])
+def test_odd_length_hex_seed_reads_with_a_leading_zero(odd, padded):
+    assert normalize_seed(odd) == normalize_seed(padded) == normalize_seed(bytes.fromhex(padded))
+
+
+def test_even_length_hex_seed_keeps_its_bytes():
+    assert normalize_seed("0aff") == hashlib.sha256(b"\x0a\xff").digest()
+    assert normalize_seed("ab" * 32) == b"\xab" * 32
+
+
+@pytest.mark.parametrize("bad", ["zz", "abz", "0x5", "g"])
+def test_non_hex_seed_rejected(bad):
+    with pytest.raises(ParameterError, match="seed must be hex"):
+        normalize_seed(bad)
 
 
 def test_streams_reproducible():

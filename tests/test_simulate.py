@@ -1,6 +1,8 @@
 """Monte Carlo harness: determinism, codeword modes, confidence intervals."""
 
 import io
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -110,3 +112,32 @@ class TestDesignFamilyComparison:
         rep_rdf = run_trials(h_rdf, cfg, t_err, 200, 9)
         assert rep_rand.ci_low <= rep_rdf.ci_high
         assert rep_rdf.ci_low <= rep_rand.ci_high
+
+
+def test_trials_leave_signals_timers_and_threads_alone(mdpc_h):
+    """The decoders install no signal handler, touch no interval timer and start no
+    thread or process at jobs=1: a 1 ms re-arming SIGALRM timer, like a sampling
+    profiler's, keeps ticking through SPA and BFV trials and changes no report."""
+    cfgs = (DecoderConfig(Algorithm.SPA), DecoderConfig(Algorithm.BF_VARIABLE))
+    untimed = [run_trials(mdpc_h, cfg, 68, 2, 11) for cfg in cfgs]
+    ticks = []
+
+    def tick(signum, frame):
+        ticks.append(signum)
+        signal.setitimer(signal.ITIMER_REAL, 0.001, 0.001)
+
+    threads = threading.active_count()
+    previous = signal.signal(signal.SIGALRM, tick)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.001, 0.001)
+        timed = [run_trials(mdpc_h, cfg, 68, 2, 11) for cfg in cfgs]
+        handler = signal.getsignal(signal.SIGALRM)
+        interval = signal.getitimer(signal.ITIMER_REAL)[1]  # a periodic timer reads as set
+    finally:
+        signal.signal(signal.SIGALRM, signal.SIG_IGN)  # a tick pending now cannot re-arm
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert timed == untimed
+    assert handler is tick and interval == pytest.approx(0.001)
+    assert threading.active_count() == threads
+    assert len(ticks) >= 10
