@@ -55,7 +55,9 @@ at or above it.  So the minimum reaches the bar exactly when no s below it
 turns up and some s is feasible at all.
 
 Binomials are evaluated in log2 through lgamma, so code lengths in the tens
-of thousands stay exact to float precision.
+of thousands stay exact to float precision.  gammaln is elementwise, so each
+cell keeps its bits: the grid's three p_s columns share one stacked call, the
+-inf mask is skipped where no cell is undefined, and log2 C(n, w) is memoized.
 """
 
 from __future__ import annotations
@@ -117,9 +119,16 @@ def _log2_comb(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     ok = (b >= 0) & (b <= a)
-    safe_b = np.where(ok, b, 0.0)
+    defined = ok.all()
+    safe_b = b if defined else np.where(ok, b, 0.0)
     val = (gammaln(a + 1.0) - gammaln(safe_b + 1.0) - gammaln(a - safe_b + 1.0)) / LN2
-    return np.where(ok, val, -np.inf)
+    return np.asarray(val) if defined else np.where(ok, val, -np.inf)
+
+
+@lru_cache(maxsize=1024)
+def _log2_comb_scalar(a: int, b: int) -> float:
+    """_log2_comb of two ints, memoized: the grid's C(n, w) repeats across shift counts."""
+    return float(_log2_comb(a, b))
 
 
 def _log2_success(log2_pi_one, n_targets: int):
@@ -151,10 +160,12 @@ def _grid_eval(n: int, k_lo: int, k_hi: int, w: int, ps_max: int, ell_max: int):
     ellg = np.arange(1, ell_max + 1)[None, :]
 
     feasible = (2 * psg <= w) & (psg <= k_hi // 2) & (w - 2 * psg <= n - k_lo - ellg)
+    halves = np.array([k_lo - k_lo // 2, k_hi // 2, k_hi - k_hi // 2])[:, None, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        log2_pi_one = (_log2_comb(k_hi // 2, psg) + _log2_comb(k_hi - k_hi // 2, psg)
-                       + _log2_comb(n - k_lo - ellg, w - 2 * psg) - _log2_comb(n, w))
-        half_rows = np.exp2(_log2_comb(k_lo - k_lo // 2, psg))
+        lo_half, hi_floor, hi_ceil = _log2_comb(halves, psg)
+        log2_pi_one = (hi_floor + hi_ceil + _log2_comb(n - k_lo - ellg, w - 2 * psg)
+                       - _log2_comb_scalar(n, w))
+        half_rows = np.exp2(lo_half)
         cost = ((n - k_hi) ** 2 * (n + k_hi) / 2.0
                 + 2.0 * ellg * psg * half_rows
                 + 2.0 * psg * (n - k_hi) * half_rows**2 / np.exp2(ellg))

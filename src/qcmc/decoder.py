@@ -164,7 +164,8 @@ def _decode_bf(index, v: np.ndarray, synd: np.ndarray, b: int | None, cap: int):
 def _check_update(tnh: np.ndarray) -> np.ndarray:
     """Halved check-to-variable LLRs artanh(prod / tnh), clipped, in place of the edge values tnh:
     prod / tnh is the product over a check's other edges.  A factor below 1e-30 divides
-    as +/-1e-30; it forces |prod| < 1e-30, so only those columns need that guard."""
+    as +/-1e-30; it forces |prod| < 1e-30, so only those columns need that guard.  Every
+    factor has magnitude at most 1 and rounding is monotone, so |ratio| <= 1 needs no clip."""
     p = tnh.shape[-1]
     prod = tnh.reshape(-1, p).prod(axis=0)
     cols = np.flatnonzero(np.abs(prod) < 1e-30)
@@ -172,8 +173,8 @@ def _check_update(tnh: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.divide(prod, tnh, out=tnh)
     ratio[..., cols] = prod[cols] / np.where(np.abs(tiny) < 1e-30, np.copysign(1e-30, tiny), tiny)
-    np.clip(ratio, -1.0 + 1e-14, 1.0 - 1e-14, out=ratio)
-    return np.clip(np.arctanh(ratio, out=ratio), -LLR_CLAMP / 2, LLR_CLAMP / 2, out=ratio)
+    with np.errstate(divide="ignore"):  # artanh(+/-1) = +/-inf, clipped like any large value
+        return np.clip(np.arctanh(ratio, out=ratio), -LLR_CLAMP / 2, LLR_CLAMP / 2, out=ratio)
 
 
 def _first_round(index, received: np.ndarray, synd: np.ndarray, half_llr: float) -> np.ndarray:

@@ -16,6 +16,12 @@ steps.  The reported threshold maximizes over decision thresholds b in
 monotonicity of convergence in t, asks at each t whether some b converges
 (trying b upwards, stopping at the first), and the reported b is the
 smallest that converges at the largest such t.
+
+T sums c_j x^j (1-x)^(d-j) over j = b..d, c_j = float(C(d, j)) memoized per
+(d, b): CPython's int * float rounds the int by float()'s PyLong_AsDouble, and
+the built-in sum() stays (3.12 made it compensated, in both forms), so T keeps
+the bits of math.comb in every term; a C(d, j) past float range (d from about
+1030) raises OverflowError either way.
 """
 
 from __future__ import annotations
@@ -47,13 +53,20 @@ class ThresholdQuery:
             raise ParameterError("n0 and d_v must be positive")
 
 
+@lru_cache(maxsize=1024)
+def _binomial_row(d: int, b: int) -> tuple[float, ...]:
+    """C(d, j) for j in [b, d], each rounded to float as int * float would round it."""
+    return tuple(float(math.comb(d, j)) for j in range(b, d + 1))
+
+
 def binomial_tail(d: int, b: int, x: float) -> float:
     """P[Binom(d, x) >= b], by direct summation (d is small here)."""
     if b <= 0:
         return 1.0
     if b > d:
         return 0.0
-    return sum(math.comb(d, j) * x**j * (1.0 - x) ** (d - j) for j in range(b, d + 1))
+    y = 1.0 - x
+    return sum(c * x**j * y ** (d - j) for j, c in enumerate(_binomial_row(d, b), b))
 
 
 def evolution_step(d_c: int, d_v: int, b: int, p0: float, q: float) -> float:

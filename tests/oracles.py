@@ -4,9 +4,11 @@ zero-padded linear FFT and the block product summed one ring product at a
 time, ring inversion by the extended Euclidean algorithm, a small executable
 Stern search, the full ISDA shift-count scan, the Stern cost grid on a full
 meshgrid, the security targets searched by full ISDA minimization, the
-decoding threshold searched once per decision threshold b, Tanner-graph
-gathers through explicit index tables, and the decoders as they were before
-their passes became incremental and in place.
+decoding threshold searched once per decision threshold b, the binomial tail,
+lgamma binomials and Stern cost grid as they were before their rows and
+columns were cached or stacked, Tanner-graph gathers through explicit index
+tables, and the decoders as they were before their passes became incremental
+and in place.
 
 Everything here is deliberately separate from the package implementation:
 dense matrices instead of ring arithmetic, schoolbook algorithms instead of
@@ -15,8 +17,9 @@ of summed cyclic spectra, Euclid instead of exponentiation, an exhaustive
 scan instead of branch-and-bound, a full meshgrid instead of broadcast
 one-dimensional terms, a minimum instead of a decision against the target,
 one t search per b instead of one for all b, fancy-index gathers instead of
-circulant rotations, full recomputation instead of incremental updates, so
-agreement is meaningful.
+circulant rotations, full recomputation instead of incremental updates, a binomial per term
+instead of a cached row, a masked lgamma per binomial instead of an unmasked
+one over stacked columns, so agreement is meaningful.
 
 The package's inversion a^-1 = a^(E-1) follows T. Itoh and S. Tsujii, "A fast
 algorithm for computing multiplicative inverses in GF(2^m) using normal
@@ -28,8 +31,9 @@ cryptography" (2020).
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
-from qcmc.attacks import (ELL_MAX, PS_MAX, IsdInstance, WfReport, _log2_comb, _log2_success,
+from qcmc.attacks import (ELL_MAX, LN2, PS_MAX, IsdInstance, WfReport, _log2_comb, _log2_success,
                           dca_wf_at, isd_wf, isda_wf_at)
 from qcmc.decoder import (LLR_CLAMP, Algorithm, DecodeOutcome, DecoderConfig, _check_p0,
                           _checked_word)
@@ -272,6 +276,34 @@ def isda_full_scan(n0: int, p: int, t: int) -> WfReport:
     return best
 
 
+def log2_comb_masked(a, b):
+    """log2 C(a, b) via lgamma; array-friendly, -inf where undefined."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    ok = (b >= 0) & (b <= a)
+    safe_b = np.where(ok, b, 0.0)
+    val = (gammaln(a + 1.0) - gammaln(safe_b + 1.0) - gammaln(a - safe_b + 1.0)) / LN2
+    return np.where(ok, val, -np.inf)
+
+
+def grid_eval_per_term(n: int, k_lo: int, k_hi: int, w: int, ps_max: int, ell_max: int):
+    """The Stern cost grid with one log2_comb_masked call per binomial term."""
+    psg = np.arange(1, ps_max + 1)[:, None]
+    ellg = np.arange(1, ell_max + 1)[None, :]
+
+    feasible = (2 * psg <= w) & (psg <= k_hi // 2) & (w - 2 * psg <= n - k_lo - ellg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log2_pi_one = (log2_comb_masked(k_hi // 2, psg)
+                       + log2_comb_masked(k_hi - k_hi // 2, psg)
+                       + log2_comb_masked(n - k_lo - ellg, w - 2 * psg)
+                       - log2_comb_masked(n, w))
+        half_rows = np.exp2(log2_comb_masked(k_lo - k_lo // 2, psg))
+        cost = ((n - k_hi) ** 2 * (n + k_hi) / 2.0
+                + 2.0 * ellg * psg * half_rows
+                + 2.0 * psg * (n - k_hi) * half_rows**2 / np.exp2(ellg))
+    return feasible, log2_pi_one, cost, psg, ellg
+
+
 def meshgrid_eval(n: int, k_lo: int, k_hi: int, w: int, ps_max: int, ell_max: int):
     """The Stern cost grid with every term evaluated on a full (p_s, l) meshgrid."""
     ps = np.arange(1, ps_max + 1)
@@ -329,6 +361,15 @@ def security_targets_by_minimum(target_bits: float, n0: int, p_ref: int) -> tupl
             return False  # e.g. w too small for any split weight
 
     return _smallest_over(1, D_V_PRIME_MAX, dca_ok), _smallest_over(1, T_MAX, isda_ok)
+
+
+def binomial_tail_per_term(d: int, b: int, x: float) -> float:
+    """P[Binom(d, x) >= b], by direct summation with math.comb in every term."""
+    if b <= 0:
+        return 1.0
+    if b > d:
+        return 0.0
+    return sum(math.comb(d, j) * x**j * (1.0 - x) ** (d - j) for j in range(b, d + 1))
 
 
 def t_max_for_b(n: int, d_c: int, d_v: int, b: int, max_steps: int) -> int:

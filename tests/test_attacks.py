@@ -7,8 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from oracles import (count_weight_w_codewords, isda_full_scan, meshgrid_isd_wf,
-                     meshgrid_isda_bound, stern_search_iterations)
+from oracles import (count_weight_w_codewords, grid_eval_per_term, isda_full_scan,
+                     log2_comb_masked, meshgrid_isd_wf, meshgrid_isda_bound,
+                     stern_search_iterations)
 from qcmc import attacks
 from qcmc.attacks import (IsdInstance, dca_wf_at, dca_table, h_enumeration_wf,
                           isd_success_probability, isd_wf, isda_secure, isda_wf_at, isda_table,
@@ -175,6 +176,43 @@ class TestGridOracle:
             args = (n, k - s_lo, w, s_lo, s_hi, attacks.PS_MAX, attacks.ELL_MAX)
             assert attacks._isda_bound(*args) == meshgrid_isda_bound(*args), args
         assert compared >= 2000
+
+
+def _same_bits(got, ref) -> bool:
+    return (type(got) is type(ref) and got.dtype == ref.dtype and got.shape == ref.shape
+            and got.tobytes() == ref.tobytes())
+
+
+class TestUnmaskedStackedOracle:
+    """_log2_comb skips its mask where every cell is defined, and _grid_eval takes
+    its three p_s columns from one stacked call: both give the masked per-term bits."""
+
+    def test_log2_comb_bitwise(self):
+        rng = np.random.RandomState(1989)
+        psg = np.arange(1, attacks.PS_MAX + 1)[:, None]
+        cases = [(10, 3), (10, 0), (10, 10), (10, 11), (10, -1), (0, 0), (-3, 1),
+                 (7.0, 2.0), (131072, 600), (np.int64(5), -0.0)]
+        cases += [(a, psg) for a in (0, 4, 9, 10, 2047, 65536)]
+        cases += [(np.array([[[5]], [[2]], [[40]]]), psg), (np.array([[[50]], [[21]], [[21]]]), psg)]
+        cases += [(rng.randint(-5, 3000, (1, 60)), rng.randint(-5, 40, (10, 1))),
+                  (rng.randint(40, 3000, (1, 60)), rng.randint(0, 40, (10, 1))),
+                  (rng.randint(0, 50, (7, 9)), rng.randint(0, 50, (7, 9)))]
+        undefined = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for a, b in cases:
+                ref = log2_comb_masked(a, b)
+                assert _same_bits(attacks._log2_comb(a, b), ref), (a, b)
+                undefined += int(np.isneginf(ref).sum())
+        assert undefined >= 100
+
+    def test_grid_eval_bitwise(self):
+        rng = random.Random(3)
+        for n, k, w, _ in _kernel_cases():
+            for k_lo, k_hi in ((k, k), (k, k + rng.randint(0, max(0, n - k - 1)))):
+                args = (n, k_lo, k_hi, w, attacks.PS_MAX, attacks.ELL_MAX)
+                for got, ref in zip(attacks._grid_eval(*args), grid_eval_per_term(*args),
+                                    strict=True):
+                    assert _same_bits(got, ref), args
 
 
 class TestAttackCurves:

@@ -477,6 +477,46 @@ def test_tanh_and_artanh_are_odd_and_lane_independent():
             assert np.array_equal(f(x[shift:]).view(np.uint64), f(x)[shift:].view(np.uint64))
 
 
+def test_artanh_near_one_needs_no_clip():
+    """On each of the 91 doubles in [1 - 1e-14, 1], artanh is nondecreasing and odd and
+    at least LLR_CLAMP / 2, so clipping the check ratio to +/-(1 - 1e-14) before artanh
+    changes no clamped message."""
+    x = [1.0 - 1e-14]
+    while x[-1] < 1.0:
+        x.append(math.nextafter(x[-1], 2.0))
+    x = np.array(x)
+    with np.errstate(divide="ignore"):
+        y, y_neg = np.arctanh(x), np.arctanh(-x)
+    assert x.size == 91 and y[-1] == math.inf
+    assert (np.diff(y) >= 0.0).all()
+    assert np.array_equal(y_neg.view(np.uint64), (-y).view(np.uint64))
+    assert y[0] >= LLR_CLAMP / 2
+
+
+def test_check_ratios_stay_within_one(request, monkeypatch):
+    """|prod / tnh| <= 1 on every edge of every SPA decode of the oracle words, and at
+    p0 = 1e-300 the first round reaches exactly 1, where artanh gives inf."""
+    magnitudes, arctanh = [], np.arctanh
+
+    def recording(x, *args, **kwargs):
+        magnitudes.append(float(np.abs(x).max()))
+        return arctanh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arctanh", recording)
+    words = [(code, weight, cap, None) for code, weight, cap, _ in ORACLE_WORDS]
+    words += [("small_h", 12, 20, p0) for p0 in (1e-300, NEAR_HALF)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for code, weight, cap, p0 in words:
+            h = request.getfixturevalue(code)
+            pr = h.params
+            e = (np.random.RandomState(pr.p).randint(0, 2, pr.n).astype(np.uint8)
+                 if weight == "dense" else weight_t_error(pr.n, weight, weight))
+            decode(h, e, DecoderConfig(Algorithm.SPA, max_iterations=cap, p0=p0))
+    assert len(magnitudes) > len(words) and 1.0 in magnitudes
+    assert all(m <= 1.0 for m in magnitudes)  # also false for NaN
+
+
 @pytest.mark.parametrize("p0", [1e-300, 1e-6, 0.45, NEAR_HALF])
 def test_spa_outcomes_equal_reference_at_extreme_p0(request, p0):
     """From saturated messages (p0 = 1e-300) to every column guarded (NEAR_HALF)."""

@@ -1,10 +1,12 @@
 """Decoding-threshold recursion: fixed points, bounds, monotonicity, anchors."""
 
 import io
+import random
 
 import pytest
 
-from oracles import per_b_threshold
+from oracles import binomial_tail_per_term, per_b_threshold
+from qcmc import threshold
 from qcmc.errors import ParameterError
 from qcmc.optimize import DEFAULT_CANDIDATES, DEFAULT_P_GRID
 from qcmc.threshold import (ThresholdQuery, bf_threshold, bf_threshold_detail,
@@ -87,6 +89,58 @@ class TestPerBOracle:
     @pytest.mark.nightly
     def test_design_grid(self):
         self.check([(4 * p, 4, d_v) for p in DEFAULT_P_GRID for d_v in DEFAULT_CANDIDATES])
+
+
+def _tail_or_error(fn, d, b, x):
+    try:
+        return fn(d, b, x).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+# the nine codes optimize --security 100 asks for a threshold
+DESIGN_100_CODES = [(16384, 4, d_v) for d_v in (15, 19, 25, 35, 45, 59, 77)]
+DESIGN_100_CODES += [(20480, 4, 15), (20480, 4, 19)]
+
+
+class TestCachedRowOracle:
+    """binomial_tail over a cached float row of C(d, j) returns the bits of the
+    per-term math.comb sum, so every evolution step and threshold is unchanged."""
+
+    def test_binomial_tail_bitwise(self):
+        rng = random.Random(1963)
+        xs = [0.0, 1.0, 0.5, 5e-324, 1.0 - 2.0 ** -53]
+        cases = [(d, b) for d in range(41) for b in range(-1, d + 2)]
+        cases += [(d, rng.randint(-1, d + 1)) for d in (rng.randint(41, 300) for _ in range(600))]
+        cases += [(300, b) for b in (-1, 0, 1, 2, 150, 299, 300, 301)]
+        for d, b in cases:
+            for x in xs + [rng.random(), rng.random() * 1e-3]:
+                assert _tail_or_error(binomial_tail, d, b, x) == \
+                    _tail_or_error(binomial_tail_per_term, d, b, x), (d, b, x)
+        # C(1030, 515) overflows a float: both raise, a row far from the middle does not
+        for b, x in ((1, 0.5), (500, 0.3), (1020, 0.99)):
+            assert _tail_or_error(binomial_tail, 1030, b, x) == \
+                _tail_or_error(binomial_tail_per_term, 1030, b, x)
+        assert _tail_or_error(binomial_tail, 1030, 1, 0.5) == "OverflowError"
+        assert _tail_or_error(binomial_tail, 1030, 1020, 0.99) != "OverflowError"
+
+    def test_thresholds_and_every_step_bitwise(self, monkeypatch):
+        step, steps = threshold.evolution_step, []
+
+        def recording(*args):
+            q = step(*args)
+            steps.append(q.hex())
+            return q
+
+        def run(tail):
+            steps.clear()
+            with monkeypatch.context() as m:
+                m.setattr(threshold, "binomial_tail", tail)
+                m.setattr(threshold, "evolution_step", recording)
+                return threshold._threshold_cached.__wrapped__(n, n0, d_v), list(steps)
+
+        for n, n0, d_v in DESIGN_100_CODES + ANCHORS + SMALL_CODES:
+            assert run(binomial_tail) == run(binomial_tail_per_term), (n, n0, d_v)
 
 
 class TestCsv:
