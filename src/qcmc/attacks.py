@@ -42,9 +42,11 @@ from different lgamma arguments, so the proof holds only up to rounding:
 against exact integer binomials, log2 C(a, b) via lgamma is off by at most
 1e-10 bits for a <= 2e4 and 4e-10 bits for a <= 7e4, and each side sums four
 such terms.  The margin is over 250 times that worst case, so no s whose
-computed work factor ties or beats the incumbent is ever pruned.  Intervals
-of at most LEAF_SIZE shift counts are scanned with isd_wf itself, lower half
-first, keeping the first strict minimum (ties go to the smallest s).
+computed work factor ties or beats the incumbent is ever pruned.  Each split
+expands the half with the lower bound first (the lower s_lo on equal bounds;
+Land and Doig, Econometrica 1960).  Intervals of at most LEAF_SIZE shift counts
+are scanned with isd_wf itself; the best is the least (log2_wf, s), so ties go
+to the smallest s.
 
 With bar = inf this is the minimization isda_wf_at reports, and the result
 equals a full scan of every s in every field.  A finite bar decides whether
@@ -226,16 +228,16 @@ def _isda_bound(n: int, k0: int, t: int, s_lo: int, s_hi: int,
 def _isda_search(n0: int, p: int, t: int, bar: float):
     """Branch-and-bound over 1 <= s < p with the initial incumbent bar.
 
-    Yields each new best WfReport, in search order: with bar = inf the last
-    one is the minimum; with a finite bar a caller may stop at the first one
-    below it.  Intervals are pruned above min(bar, best) + PRUNE_MARGIN.
+    Yields each new best WfReport by (log2_wf, s), in search order: with
+    bar = inf the last one is the minimum; with a finite bar a caller may stop
+    at the first one below it.  A split bounds both halves; the lower-bound
+    half pops first.  Intervals are pruned above min(bar, best) + PRUNE_MARGIN.
     """
     n, k0 = n0 * p, (n0 - 1) * p
     best: WfReport | None = None
-    stack = [(1, p - 1)] if p > 1 else []
+    stack = [(_isda_bound(n, k0, t, 1, p - 1, PS_MAX, ELL_MAX), 1, p - 1)] if p > 1 else []
     while stack:
-        s_lo, s_hi = stack.pop()
-        bound = _isda_bound(n, k0, t, s_lo, s_hi, PS_MAX, ELL_MAX)
+        bound, s_lo, s_hi = stack.pop()
         incumbent = bar if best is None else min(bar, best.log2_wf)
         if bound == math.inf or bound > incumbent + PRUNE_MARGIN:
             continue
@@ -245,12 +247,14 @@ def _isda_search(n0: int, p: int, t: int, bar: float):
                     rep = isd_wf(IsdInstance(n=n, k=k0 + s, w=t, n_targets=s))
                 except ParameterError:
                     continue
-                if best is None or rep.log2_wf < best.log2_wf:
+                if best is None or (rep.log2_wf, s) < (best.log2_wf, best.s):
                     best = WfReport(rep.log2_wf, rep.p_s, rep.ell, s)
                     yield best
         else:
             mid = (s_lo + s_hi) // 2
-            stack += [(mid + 1, s_hi), (s_lo, mid)]
+            halves = [(_isda_bound(n, k0, t, lo, hi, PS_MAX, ELL_MAX), lo, hi)
+                      for lo, hi in ((s_lo, mid), (mid + 1, s_hi))]
+            stack += sorted(halves, reverse=True)
 
 
 @lru_cache(maxsize=None)
@@ -319,7 +323,10 @@ def dca_table(n0: int, p_values: Sequence[int], d_v_prime_values: Sequence[int])
     rows = []
     for p in p_values:
         for dvp in d_v_prime_values:
-            rep = dca_wf_at(n0, p, dvp)
+            try:
+                rep = dca_wf_at(n0, p, dvp)
+            except ParameterError as exc:
+                raise ParameterError(f"at p={p}, d_v_prime={dvp}: {exc}") from exc
             rows.append({"p": p, "d_v_prime": dvp, "log2_wf": round(rep.log2_wf, 2),
                          "p_s": rep.p_s, "ell": rep.ell})
     return rows
@@ -329,7 +336,10 @@ def isda_table(n0: int, p_values: Sequence[int], t_values: Sequence[int]) -> lis
     rows = []
     for p in p_values:
         for t in t_values:
-            rep = isda_wf_at(n0, p, t)
+            try:
+                rep = isda_wf_at(n0, p, t)
+            except ParameterError as exc:
+                raise ParameterError(f"at p={p}, t={t}: {exc}") from exc
             rows.append({"p": p, "t": t, "log2_wf": round(rep.log2_wf, 2),
                          "p_s": rep.p_s, "ell": rep.ell, "s": rep.s})
     return rows

@@ -14,8 +14,8 @@ must decrease monotonically below 1/n within MAX_RECURSION_STEPS = 100
 steps.  The reported threshold maximizes over decision thresholds b in
 [ceil(d_v/2), d_v]: one exponential-then-binary search over t, using
 monotonicity of convergence in t, asks at each t whether some b converges
-(trying b upwards, stopping at the first), and the reported b is the
-smallest that converges at the largest such t.
+(trying b upwards, stopping at the first); the reported b, the smallest that
+converges at the largest such t, is kept from that t's probe (ceil(d_v/2) at t = 0).
 
 T sums c_j x^j (1-x)^(d-j) over j = b..d, c_j = float(C(d, j)) memoized per
 (d, b): CPython's int * float rounds the int by float()'s PyLong_AsDouble, and
@@ -98,17 +98,17 @@ def _threshold_cached(n: int, n0: int, d_v: int) -> tuple[int, int]:
         return next((b for b in b_values
                      if _converges(n, n0 * d_v, d_v, b, t, MAX_RECURSION_STEPS)), None)
 
-    lo, hi = 0, 1  # t = 0 converges at every b
-    while hi < n and first_b(hi) is not None:
-        lo, hi = hi, hi * 2
+    lo, b_lo, hi = 0, b_values[0], 1  # t = 0 converges at every b
+    while hi < n and (b := first_b(hi)) is not None:
+        lo, b_lo, hi = hi, b, hi * 2
     hi = min(hi, n)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if first_b(mid) is not None:
-            lo = mid
+        if (b := first_b(mid)) is not None:
+            lo, b_lo = mid, b
         else:
             hi = mid
-    return lo, first_b(lo)
+    return lo, b_lo
 
 
 def bf_threshold(q: ThresholdQuery) -> int:

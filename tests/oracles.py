@@ -2,19 +2,21 @@
 division over GF(2), the shift-xor ring product, the ring product by a
 zero-padded linear FFT and the block product summed one ring product at a
 time, ring inversion by the extended Euclidean algorithm, a small executable
-Stern search, the full ISDA shift-count scan, the Stern cost grid on a full
-meshgrid, the security targets searched by full ISDA minimization, the
-decoding threshold searched once per decision threshold b, the binomial tail,
-lgamma binomials and Stern cost grid as they were before their rows and
-columns were cached or stacked, Tanner-graph gathers through explicit index
-tables, and the decoders as they were before their passes became incremental
-and in place.
+Stern search, the full ISDA shift-count scan, the ISDA branch-and-bound as
+it was before best-bound-first order, the Stern cost grid on a full meshgrid,
+the security targets searched by full ISDA minimization, the decoding
+threshold searched once per decision threshold b and as it was before it kept
+the winning b, the binomial tail, lgamma binomials and Stern cost grid as they
+were before their rows and columns were cached or stacked, Tanner-graph
+gathers through explicit index tables, and the decoders as they were before
+their passes became incremental and in place.
 
 Everything here is deliberately separate from the package implementation:
 dense matrices instead of ring arithmetic, schoolbook algorithms instead of
 packed-bit tricks or FFTs, a folded linear convolution per block pair instead
 of summed cyclic spectra, Euclid instead of exponentiation, an exhaustive
-scan instead of branch-and-bound, a full meshgrid instead of broadcast
+scan instead of branch-and-bound, the lower half first instead of the lower
+bound first, a final probe instead of a kept b, a full meshgrid instead of broadcast
 one-dimensional terms, a minimum instead of a decision against the target,
 one t search per b instead of one for all b, fancy-index gathers instead of
 circulant rotations, full recomputation instead of incremental updates, a binomial per term
@@ -33,8 +35,8 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from qcmc.attacks import (ELL_MAX, LN2, PS_MAX, IsdInstance, WfReport, _log2_comb, _log2_success,
-                          dca_wf_at, isd_wf, isda_wf_at)
+from qcmc.attacks import (ELL_MAX, LEAF_SIZE, LN2, PRUNE_MARGIN, PS_MAX, IsdInstance, WfReport,
+                          _isda_bound, _log2_comb, _log2_success, dca_wf_at, isd_wf, isda_wf_at)
 from qcmc.decoder import (LLR_CLAMP, Algorithm, DecodeOutcome, DecoderConfig, _check_p0,
                           _checked_word)
 from qcmc.design import ParityCheck
@@ -276,6 +278,33 @@ def isda_full_scan(n0: int, p: int, t: int) -> WfReport:
     return best
 
 
+def left_first_isda_search(n0: int, p: int, t: int, bar: float):
+    """The ISDA branch-and-bound as it was before best-bound-first order: each
+    interval is bounded when popped, the lower half always goes first, and the
+    first strict minimum is kept."""
+    n, k0 = n0 * p, (n0 - 1) * p
+    best: WfReport | None = None
+    stack = [(1, p - 1)] if p > 1 else []
+    while stack:
+        s_lo, s_hi = stack.pop()
+        bound = _isda_bound(n, k0, t, s_lo, s_hi, PS_MAX, ELL_MAX)
+        incumbent = bar if best is None else min(bar, best.log2_wf)
+        if bound == math.inf or bound > incumbent + PRUNE_MARGIN:
+            continue
+        if s_hi - s_lo < LEAF_SIZE:
+            for s in range(s_lo, s_hi + 1):
+                try:
+                    rep = isd_wf(IsdInstance(n=n, k=k0 + s, w=t, n_targets=s))
+                except ParameterError:
+                    continue
+                if best is None or rep.log2_wf < best.log2_wf:
+                    best = WfReport(rep.log2_wf, rep.p_s, rep.ell, s)
+                    yield best
+        else:
+            mid = (s_lo + s_hi) // 2
+            stack += [(mid + 1, s_hi), (s_lo, mid)]
+
+
 def log2_comb_masked(a, b):
     """log2 C(a, b) via lgamma; array-friendly, -inf where undefined."""
     a = np.asarray(a, dtype=np.float64)
@@ -399,6 +428,28 @@ def per_b_threshold(n: int, n0: int, d_v: int) -> tuple[int, int]:
         if tm > best_t:
             best_t, best_b = tm, b
     return best_t, best_b
+
+
+def reprobing_threshold(n: int, n0: int, d_v: int) -> tuple[int, int]:
+    """(t_max, b) as the threshold search gave it before it kept the winning b:
+    the b is searched again at t_max by a final probe."""
+    b_values = range(math.ceil(d_v / 2), d_v + 1)
+
+    def first_b(t: int) -> int | None:
+        return next((b for b in b_values
+                     if _converges(n, n0 * d_v, d_v, b, t, MAX_RECURSION_STEPS)), None)
+
+    lo, hi = 0, 1  # t = 0 converges at every b
+    while hi < n and first_b(hi) is not None:
+        lo, hi = hi, hi * 2
+    hi = min(hi, n)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if first_b(mid) is not None:
+            lo = mid
+        else:
+            hi = mid
+    return lo, first_b(lo)
 
 
 class TannerGather:

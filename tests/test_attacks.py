@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from oracles import (count_weight_w_codewords, grid_eval_per_term, isda_full_scan,
-                     log2_comb_masked, meshgrid_isd_wf, meshgrid_isda_bound,
-                     stern_search_iterations)
+                     left_first_isda_search, log2_comb_masked, meshgrid_isd_wf,
+                     meshgrid_isda_bound, stern_search_iterations)
 from qcmc import attacks
 from qcmc.attacks import (IsdInstance, dca_wf_at, dca_table, h_enumeration_wf,
                           isd_success_probability, isd_wf, isda_secure, isda_wf_at, isda_table,
@@ -340,6 +340,43 @@ class TestIsdaSearch:
             assert isda_secure(n0, p, t, m)
             assert not isda_secure(n0, p, t, math.nextafter(m, math.inf))
 
+    @pytest.mark.parametrize("n0,p,t", [(3, 7168, 2), (4, 7168, 3)])
+    def test_small_t_equals_full_scan(self, n0, p, t):
+        # the minimum sits at s near p here, far right of where the search starts
+        assert isda_wf_at(n0, p, t) == isda_full_scan(n0, p, t)
+
+    def test_ties_go_to_the_smallest_s(self, monkeypatch):
+        # whole-bit work factors tie across many s, and rounding up keeps every
+        # bound below them, so the search must still report the smallest s
+        original = attacks.isd_wf
+
+        def whole_bits(inst):
+            rep = original(inst)
+            return attacks.WfReport(float(math.ceil(rep.log2_wf)), rep.p_s, rep.ell)
+
+        monkeypatch.setattr(attacks, "isd_wf", whole_bits)
+        for n0, p, t in [(4, 1024, 30), (3, 231, 65), (3, 1024, 3), (2, 700, 40)]:
+            reps = [(_outcome(whole_bits, IsdInstance(n0 * p, (n0 - 1) * p + s, t, s)), s)
+                    for s in range(1, p)]
+            wfs = sorted((rep.log2_wf, s) for rep, s in reps if not isinstance(rep, str))
+            assert wfs[1][0] == wfs[0][0]
+            rep = _last(attacks._isda_search(n0, p, t, math.inf))
+            assert (rep.log2_wf, rep.s) == wfs[0], (n0, p, t)
+
+    def test_small_t_scans_few_shift_counts(self, monkeypatch):
+        calls = []
+        original = attacks.isd_wf
+
+        def counting(inst, *args):
+            calls.append(inst.n_targets)
+            return original(inst, *args)
+
+        attacks._isda_cached.cache_clear()
+        monkeypatch.setattr(attacks, "isd_wf", counting)
+        rep = isda_wf_at(3, 7168, 2)
+        assert rep.s in calls
+        assert len(calls) <= 50
+
     @pytest.mark.parametrize("n0", [-1, 0, 1])
     def test_fewer_than_two_blocks_rejected(self, n0):
         with pytest.raises(ParameterError):
@@ -348,3 +385,30 @@ class TestIsdaSearch:
             isda_secure(n0, 1024, 30, 100)
         with pytest.raises(ParameterError):
             dca_wf_at(n0, 1024, 20)
+
+
+def _last(search):
+    best = None
+    for best in search:
+        pass
+    return best
+
+
+class TestLeftFirstOracle:
+    """Best-bound-first order finds the minimum and the decision of the search
+    that always went into the lower half first."""
+
+    @pytest.mark.parametrize("n0,p,t", ISDA_POINTS)
+    def test_minimum_and_decision(self, n0, p, t):
+        expected = _last(left_first_isda_search(n0, p, t, math.inf))
+        assert _last(attacks._isda_search(n0, p, t, math.inf)) == expected
+        if expected is None:
+            targets = [50, 100]
+        else:
+            m = expected.log2_wf
+            targets = [m, math.nextafter(m, -math.inf), math.nextafter(m, math.inf),
+                       m - 5, m + 5]
+        for target in targets:
+            decide = [any(rep.log2_wf < target for rep in search(n0, p, t, target))
+                      for search in (attacks._isda_search, left_first_isda_search)]
+            assert decide[0] == decide[1], target

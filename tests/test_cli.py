@@ -309,6 +309,20 @@ def test_wf_isda_rejects_single_block(workdir, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv,point", [
+    (["--attack", "isda", "--n0", "2", "--p", "97,4801", "--t", "3,8,33,120"],
+     ["p=97", "t=120"]),
+    (["--attack", "dca", "--n0", "2", "--p", "97,4801", "--dvp", "20,100"],
+     ["p=97", "d_v_prime=100"]),
+], ids=["isda", "dca"])
+def test_wf_names_the_failing_point(workdir, capsys, argv, point):
+    assert main(["wf", *argv]) == 2
+    captured = capsys.readouterr()
+    assert "error-category: ParameterError" in captured.err
+    assert all(name in captured.err for name in point), captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("n0", ["1", "0", "-3"])
 def test_optimize_rejects_fewer_than_two_blocks(workdir, capsys, n0):
     assert main(["optimize", "--security", "100", "--n0", n0]) == 2

@@ -111,11 +111,10 @@ def _targets_or_error(fn, lam, n0, p_ref):
         return str(exc)
 
 
-# At lam = 1 the reference minimizes the ISDA work factor at t <= 10, where
-# branch-and-bound prunes almost nothing: 5 to 10 s per case at p_ref >= 4096,
-# so those six cases run with the nightly suite.
-TARGET_CASES = [pytest.param(lam, n0, p_ref,
-                             marks=[pytest.mark.nightly] if lam == 1 and p_ref >= 4096 else [])
+# At lam = 1 the reference minimizes the ISDA work factor at t <= 10, where the
+# minimum sits at s near p; best-bound-first order reaches it in a few dozen
+# isd_wf calls, so the six cases at p_ref >= 4096 take under 1 s each.
+TARGET_CASES = [(lam, n0, p_ref)
                 for lam in (1, 60, 80, 100, 128, 160, 100000)
                 for n0 in (2, 3, 4)
                 for p_ref in (32, 1024, 4096, 7168)]

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oracles import binomial_tail_per_term, per_b_threshold
+from oracles import binomial_tail_per_term, per_b_threshold, reprobing_threshold
 from qcmc import threshold
 from qcmc.errors import ParameterError
 from qcmc.optimize import DEFAULT_CANDIDATES, DEFAULT_P_GRID
@@ -141,6 +141,41 @@ class TestCachedRowOracle:
 
         for n, n0, d_v in DESIGN_100_CODES + ANCHORS + SMALL_CODES:
             assert run(binomial_tail) == run(binomial_tail_per_term), (n, n0, d_v)
+
+
+def _random_codes(count: int = 150, seed: int = 1960) -> list[tuple[int, int, int]]:
+    """(n, n0, d_v) with d_v < p, so every one is a valid ThresholdQuery."""
+    rng = random.Random(seed)
+    codes = []
+    for _ in range(count):
+        n0 = rng.choice((2, 3, 4))
+        p = rng.choice((rng.randint(2, 300), rng.randint(301, 8192)))
+        codes.append((n0 * p, n0, rng.randint(1, min(99, p - 1))))
+    return codes
+
+
+class TestKeptBOracle:
+    """Keeping the b of the last converging probe reports the (t_max, b) of the
+    search that probed t_max once more, in fewer evolution steps."""
+
+    def test_same_threshold_fewer_steps(self, monkeypatch):
+        step, steps = threshold.evolution_step, [0]
+
+        def counting(*args):
+            steps[0] += 1
+            return step(*args)
+
+        monkeypatch.setattr(threshold, "evolution_step", counting)
+        counts = []
+        for search in (threshold._threshold_cached.__wrapped__, reprobing_threshold):
+            steps[0] = 0
+            for n, n0, d_v in DESIGN_100_CODES:
+                search(n, n0, d_v)
+            counts.append(steps[0])
+        assert counts[0] < counts[1]
+        for n, n0, d_v in DESIGN_100_CODES + ANCHORS + SMALL_CODES + _random_codes():
+            assert threshold._threshold_cached.__wrapped__(n, n0, d_v) == \
+                reprobing_threshold(n, n0, d_v), (n, n0, d_v)
 
 
 class TestCsv:
