@@ -60,6 +60,12 @@ Binomials are evaluated in log2 through lgamma, so code lengths in the tens
 of thousands stay exact to float precision.  gammaln is elementwise, so each
 cell keeps its bits: the grid's three p_s columns share one stacked call, the
 -inf mask is skipped where no cell is undefined, and log2 C(n, w) is memoized.
+
+scipy loads at the first work factor, not with this module: the module-level
+gammaln replaces itself with scipy.special.gammaln on its first call, so every
+later call is scipy's ufunc itself.  `import qcmc` and the commands that compute
+no work factor (keygen, encrypt, decrypt, inspect, simulate, threshold) never
+load scipy; wf and optimize load it at their first work factor.
 """
 
 from __future__ import annotations
@@ -71,7 +77,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ParameterError
 
@@ -114,6 +119,13 @@ class WfReport:
     p_s: int
     ell: int
     s: int = 0
+
+
+def gammaln(x):
+    """scipy.special.gammaln, bound here on first use so that scipy loads only then."""
+    global gammaln
+    from scipy.special import gammaln
+    return gammaln(x)
 
 
 def _log2_comb(a, b):
@@ -225,17 +237,23 @@ def _isda_bound(n: int, k0: int, t: int, s_lo: int, s_hi: int,
     return float(bound.min())
 
 
-def _isda_search(n0: int, p: int, t: int, bar: float):
+def _root_bound(n0: int, p: int, t: int) -> float:
+    """_isda_bound over all of [1, p); inf when there is no shift count at all."""
+    return _isda_bound(n0 * p, (n0 - 1) * p, t, 1, p - 1, PS_MAX, ELL_MAX) if p > 1 else math.inf
+
+
+def _isda_search(n0: int, p: int, t: int, bar: float, root: float | None = None):
     """Branch-and-bound over 1 <= s < p with the initial incumbent bar.
 
     Yields each new best WfReport by (log2_wf, s), in search order: with
     bar = inf the last one is the minimum; with a finite bar a caller may stop
     at the first one below it.  A split bounds both halves; the lower-bound
     half pops first.  Intervals are pruned above min(bar, best) + PRUNE_MARGIN.
+    root is _root_bound(n0, p, t), computed here unless the caller has it.
     """
     n, k0 = n0 * p, (n0 - 1) * p
     best: WfReport | None = None
-    stack = [(_isda_bound(n, k0, t, 1, p - 1, PS_MAX, ELL_MAX), 1, p - 1)] if p > 1 else []
+    stack = [(_root_bound(n0, p, t) if root is None else root, 1, p - 1)]
     while stack:
         bound, s_lo, s_hi = stack.pop()
         incumbent = bar if best is None else min(bar, best.log2_wf)
@@ -287,15 +305,15 @@ def isda_secure(n0: int, p: int, t: int, target_bits: float) -> bool:
     and stops at the first s below it.  If none is found, the answer is yes
     exactly when some s is feasible, which isd_wf tells from s = 1 upward
     (s = 1 already is for 2 <= t <= p).  An infinite bound over all of
-    [1, p) already proves that no s is.
+    [1, p), the one the search starts from, already proves that no s is.
     """
     if n0 < 2:
         raise ParameterError("need n0 >= 2 circulant blocks")
-    if any(rep.log2_wf < target_bits for rep in _isda_search(n0, p, t, target_bits)):
+    root = _root_bound(n0, p, t)
+    if root == math.inf or any(rep.log2_wf < target_bits
+                               for rep in _isda_search(n0, p, t, target_bits, root)):
         return False
     n, k0 = n0 * p, (n0 - 1) * p
-    if p < 2 or _isda_bound(n, k0, t, 1, p - 1, PS_MAX, ELL_MAX) == math.inf:
-        return False
     for s in range(1, p):
         try:
             isd_wf(IsdInstance(n=n, k=k0 + s, w=t, n_targets=s))

@@ -213,11 +213,21 @@ def _draw_support(p: int, d_v: int, rng: SeedStream) -> SparseSupport:
 
 
 def _is_invertible(s: SparseSupport) -> bool:
-    try:
-        poly_inverse(s.to_poly())
-        return True
-    except NotInvertibleError:
-        return False
+    """Whether s is a unit of R_p, decided by a gcd instead of an inverse.
+
+    With p = 2^e q and q odd, x^p - 1 = (x^q - 1)^(2^e) over GF(2), so s is a
+    unit exactly when gcd(s mod (x^q - 1), x^q - 1) = 1.  Reducing mod
+    x^q - 1 folds the support mod q; Euclid runs on q-bit Python ints.
+    """
+    q = s.p >> ((s.p & -s.p).bit_length() - 1)
+    a, b = 0, (1 << q) | 1
+    for i in s.support:
+        a ^= 1 << (i % q)
+    while a:
+        while (shift := b.bit_length() - a.bit_length()) >= 0:
+            b ^= a << shift
+        a, b = b, a
+    return b == 1
 
 
 def sample_h_random(params: SystemParams, rng: SeedStream) -> ParityCheck:

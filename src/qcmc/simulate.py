@@ -7,13 +7,16 @@ bit errors, and iterations.  Trials are grouped into fixed-size lots with
 per-lot derived seeds, so results are bit-identical for any worker count and
 lots can run in parallel processes.  Codeword error rates carry a Wilson
 score interval: the rates of interest span several orders of magnitude.
+
+The process pool, and with it multiprocessing, is imported only when a run
+uses more than one job, so a single-job run or a bare `import qcmc` does not
+pay for it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -105,6 +108,7 @@ def run_trials(h: ParityCheck, cfg: DecoderConfig, t_err: int, trials: int,
         index += 1
 
     if jobs > 1 and len(lots) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_lot, *zip(*lots)))
     else:

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -5,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import qcmc
 from qcmc.design import SystemParams, sample_h_random, sample_h_rdf
 from qcmc.prng import SeedStream
 
@@ -35,3 +38,19 @@ def rdf_h(rdf_params):
 def mdpc_h():
     """The d_v = 85 MDPC code of the mc-mdpc benchmark workload."""
     return sample_h_random(SystemParams.make(4, 6272, 85, 68), SeedStream(0x8D, "mdpc"))
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run code in a new interpreter on the source tree this process imported.
+
+    Returns the lines the code printed.
+    """
+    src_root = str(Path(qcmc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src_root, os.environ.get("PYTHONPATH"))))}
+
+    def run(code: str) -> list[str]:
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True, timeout=120).stdout.splitlines()
+    return run

@@ -17,6 +17,16 @@ from qcmc.attacks import (IsdInstance, dca_wf_at, dca_table, h_enumeration_wf,
 from qcmc.errors import ParameterError
 
 
+def test_first_work_factor_binds_scipy_gammaln(fresh_python):
+    # the lazily bound gammaln gives the same bits as in this process, and
+    # after the first call the module name is scipy's ufunc itself
+    inst = IsdInstance(n=8192, k=4096, w=94, n_targets=4096)
+    code = ("import sys; from qcmc import attacks; print('scipy' in sys.modules); "
+            f"print(repr(attacks.isd_wf(attacks.{inst!r}))); import scipy.special; "
+            "print(attacks.gammaln is scipy.special.gammaln)")
+    assert fresh_python(code) == ["False", repr(isd_wf(inst)), "True"]
+
+
 class TestQSpaceSize:
     def test_reference_counts_two_decimals(self):
         assert round(q_space_size(4800, 2), 2) == 25.46
@@ -313,6 +323,18 @@ class TestIsdaSearch:
         assert rep.s == 98
         assert rep.s in calls
         assert len(calls) <= 0.05 * 4095
+
+    def test_decision_bounds_the_root_once(self, monkeypatch):
+        intervals = []
+        original = attacks._isda_bound
+
+        def counting(n, k0, t, s_lo, s_hi, *args):
+            intervals.append((s_lo, s_hi))
+            return original(n, k0, t, s_lo, s_hi, *args)
+
+        monkeypatch.setattr(attacks, "_isda_bound", counting)
+        assert isda_secure(4, 4096, 47, 100)
+        assert intervals.count((1, 4095)) == 1
 
     @pytest.mark.parametrize("n0,p,t", ISDA_POINTS)
     def test_decision_equals_full_scan(self, n0, p, t):

@@ -301,6 +301,16 @@ def test_threshold_ignores_qcmc_jobs_variable(tmp_path):
     assert proc.stdout.splitlines() == ["n,d_v,b_opt,t_max", "12288,13,10,134"]
 
 
+def test_import_loads_no_scipy_or_process_pool(fresh_python):
+    # scipy waits for the first work factor, the pool for a run with jobs > 1
+    code = ("import sys, qcmc, qcmc.cli; print(qcmc.__file__); "
+            "print(*(m in sys.modules for m in ('scipy', 'multiprocessing', "
+            "'concurrent.futures')), sep='\\n')")
+    loaded_from, *loaded = fresh_python(code)
+    assert Path(loaded_from).resolve() == Path(qcmc.__file__).resolve()
+    assert loaded == ["False"] * 3
+
+
 def test_wf_isda_rejects_single_block(workdir, capsys):
     code = main(["wf", "--attack", "isda", "--n0", "1", "--p", "1024", "--t", "30"])
     assert code == 2

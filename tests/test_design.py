@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import gf2_matmul
-from qcmc.design import (ParityCheck, SystemParams, cyclic_differences,
+from qcmc.design import (ParityCheck, SystemParams, _is_invertible, cyclic_differences,
                          has_distinct_differences, pattern_det_gf2,
                          realizable_sigma, sample_h_random, sample_h_rdf,
                          systematic_generator, weight_matrix)
-from qcmc.errors import DesignFailure, ParameterError, SingularMatrixError
-from qcmc.gf2 import SparseSupport, qc_transpose
+from qcmc.errors import DesignFailure, NotInvertibleError, ParameterError, SingularMatrixError
+from qcmc.gf2 import BitPolynomial, SparseSupport, poly_inverse, poly_mul, qc_transpose
 from qcmc.prng import SeedStream
 
 
@@ -107,6 +107,48 @@ class TestSampleRandom:
             params = SystemParams.make(2, p, p, 1)
             with pytest.raises(DesignFailure):
                 sample_h_random(params, SeedStream(13, "h"))
+
+
+def _has_inverse(s: SparseSupport) -> bool:
+    try:
+        poly_inverse(s.to_poly())
+    except NotInvertibleError:
+        return False
+    return True
+
+
+class TestIsInvertible:
+    # p = 2^e q covers q = 1, small q with many factors of x^q - 1, the prime
+    # 4801 and the key sizes 4096, 6272 and 7168
+    PS = (7, 8, 9, 15, 21, 31, 45, 63, 73, 96, 127, 255, 341, 1023, 1024, 1536,
+          4096, 4801, 6272, 7168)
+
+    def test_agrees_with_poly_inverse(self):
+        rng = SeedStream(18, "unit-oracle")
+        units = odd_non_units = 0
+        for p in self.PS:
+            q = p >> ((p & -p).bit_length() - 1)
+            odd_divisors = [r for r in range(3, q + 1, 2) if q % r == 0]
+            for w in (1, 2, 3, 5, 15, 25, 85):
+                s = SparseSupport(p, tuple(sorted(rng.sample_distinct(p, min(w, p)))))
+                if odd_divisors and rng.below(2):
+                    # times the odd-weight factor (x^p - 1)/(x^(p/r) - 1): a
+                    # non-unit whose weight stays odd
+                    r = odd_divisors[rng.below(len(odd_divisors))]
+                    g = BitPolynomial.from_support(p, [j * (p // r) for j in range(r)])
+                    s = SparseSupport.from_poly(poly_mul(s.to_poly(), g))
+                unit = _has_inverse(s)
+                assert _is_invertible(s) == unit, (p, s.support)
+                units += unit
+                odd_non_units += not unit and s.weight % 2 == 1
+        assert units >= 40 and odd_non_units >= 20
+
+    def test_edges(self):
+        for p in (1, 2, 3, 4096, 4801):
+            one = SparseSupport(p, (0,))
+            every = SparseSupport(p, tuple(range(p)))
+            assert _is_invertible(one) and _has_inverse(one)
+            assert _is_invertible(every) == _has_inverse(every) == (p == 1)
 
 
 class TestRdf:
