@@ -1,9 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-report.  Criterion 8 (MDPC residual error rates over >= 20000 trials, about
-0.4 h projected on 2 cores) carries the `nightly` marker; everything else
-runs in the default suite within minutes.
+report.  Criterion 8 (MDPC residual error rates over >= 20000 trials; the
+whole nightly suite took 15 min on 2 cores) carries the `nightly` marker;
+everything else runs in the default suite within minutes.
 """
 
 import math
@@ -222,7 +222,7 @@ def _random_qc(rng, rows0, cols0, p):
 
 @pytest.mark.nightly
 class TestCriterion8MdpcDecoderObservation:
-    """SPA vs variable-threshold BF on the d_v=85 code (hours of CPU)."""
+    """SPA vs variable-threshold BF on the d_v=85 code (nightly suite: 15 min on 2 cores)."""
 
     def test_spa_cer_and_bf_improvement(self):
         params = SystemParams.make(4, 6272, 85, 68)
