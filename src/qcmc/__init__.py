@@ -18,7 +18,7 @@ from .errors import (DecodingFailure, DesignFailure, KeygenFailure,
                      NotInvertibleError, ParameterError, QcmcError,
                      SingularMatrixError)
 from .gf2 import (BitPolynomial, QcMatrix, SparseSupport, poly_inverse, poly_mul,
-                  qc_invert, qc_mul, qc_transpose, qc_vec_mul)
+                  qc_invert, qc_is_invertible, qc_mul, qc_transpose, qc_vec_mul)
 from .optimize import (DesignResult, OptimizationReport, OptimizerConfig,
                        complexity_c, m_star, optimize_design, security_targets)
 from .prng import SeedStream

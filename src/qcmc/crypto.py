@@ -17,8 +17,9 @@ wrong plaintext.
 Key and ciphertext files are plain text: a magic line, a key=value parameter
 line, the weight matrix, then one lowercase-hex polynomial per circulant
 block in row-major order (little-endian bit packing, see gf2).  A seed=
-field in the parameter line is what marks a private key.  This is a research
-toolkit: no constant-time guarantees, no side-channel hardening.
+field in the parameter line is what marks a private key; loading one checks
+that S and Q have unit determinants (gf2.qc_is_invertible).  This is a
+research toolkit: no constant-time guarantees, no side-channel hardening.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .decoder import Algorithm, DecoderConfig, decode
 from .design import (ParityCheck, SystemParams, pattern_det_gf2, sample_h_random,
                      sample_h_rdf, systematic_generator)
 from .errors import DecodingFailure, KeygenFailure, ParameterError, SingularMatrixError
-from .gf2 import (BitPolynomial, QcMatrix, SparseSupport, bits_to_int, qc_invert, qc_mul,
-                  qc_transpose, qc_vec_mul)
+from .gf2 import (BitPolynomial, QcMatrix, SparseSupport, bits_to_int, qc_invert,
+                  qc_is_invertible, qc_mul, qc_transpose, qc_vec_mul)
 from .prng import SeedStream, normalize_seed
 
 KEY_MAGIC = "QCMC1"
@@ -83,14 +84,20 @@ def random_error_vector(n: int, t: int, rng: SeedStream) -> np.ndarray:
     return e
 
 
+def _inverse_or_none(mat: QcMatrix) -> QcMatrix | None:
+    """qc_invert(mat), or None if it fails; a singular mat skips the elimination."""
+    try:
+        return qc_invert(mat) if qc_is_invertible(mat) else None
+    except SingularMatrixError:
+        return None
+
+
 def _sample_invertible(n: int, p: int, draw, what: str) -> tuple[QcMatrix, QcMatrix]:
     """Invertible n x n block matrix with block (i, j) = draw(i, j), drawn row-major."""
     for _ in range(KEYGEN_BUDGET):
         mat = QcMatrix(n, n, p, tuple(tuple(draw(i, j) for j in range(n)) for i in range(n)))
-        try:
-            return mat, qc_invert(mat)
-        except SingularMatrixError:
-            continue
+        if (inv := _inverse_or_none(mat)) is not None:
+            return mat, inv
     raise KeygenFailure(f"no invertible {what} within the sampling budget")
 
 
@@ -143,11 +150,8 @@ def keygen(params: SystemParams, seed, mode: KeyMode = KeyMode.CLASSIC,
                 k0, p, lambda i, j: BitPolynomial(p, s_rng.take_bits(p)), "S")
             break
         s = QcMatrix(k0, k0, p, tuple(tuple(row[:k0]) for row in m_mat.blocks))
-        try:
-            s_inv = qc_invert(s)
+        if (s_inv := _inverse_or_none(s)) is not None:
             break
-        except SingularMatrixError:
-            continue
     else:
         raise KeygenFailure("no systematic form within the sampling budget")
 
@@ -299,8 +303,8 @@ def _load_key(path, want: type | None) -> PrivateKey | PublicKey:
     h = ParityCheck(params, tuple(SparseSupport.from_poly(poly) for poly in polys[:n0]))
     s = QcMatrix(k0, k0, p, _grid(polys[n0:], k0, k0))
     q = QcMatrix(n0, n0, p, _grid(polys[n0 + k0 * k0:], n0, n0))
-    qc_invert(s)  # raises SingularMatrixError for a key whose S or Q is singular
-    qc_invert(q)
+    if not (qc_is_invertible(s) and qc_is_invertible(q)):
+        raise SingularMatrixError("the private key's S or Q is not invertible")
     return PrivateKey(params, h, s, q, seed, mode)
 
 

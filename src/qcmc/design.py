@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DesignFailure, NotInvertibleError, ParameterError, SingularMatrixError
-from .gf2 import BitPolynomial, QcMatrix, SparseSupport, poly_inverse, poly_mul
+from .gf2 import BitPolynomial, QcMatrix, SparseSupport, is_unit, poly_inverse, poly_mul
 from .prng import SeedStream
 
 RESAMPLE_BUDGET = 100
@@ -213,21 +213,8 @@ def _draw_support(p: int, d_v: int, rng: SeedStream) -> SparseSupport:
 
 
 def _is_invertible(s: SparseSupport) -> bool:
-    """Whether s is a unit of R_p, decided by a gcd instead of an inverse.
-
-    With p = 2^e q and q odd, x^p - 1 = (x^q - 1)^(2^e) over GF(2), so s is a
-    unit exactly when gcd(s mod (x^q - 1), x^q - 1) = 1.  Reducing mod
-    x^q - 1 folds the support mod q; Euclid runs on q-bit Python ints.
-    """
-    q = s.p >> ((s.p & -s.p).bit_length() - 1)
-    a, b = 0, (1 << q) | 1
-    for i in s.support:
-        a ^= 1 << (i % q)
-    while a:
-        while (shift := b.bit_length() - a.bit_length()) >= 0:
-            b ^= a << shift
-        a, b = b, a
-    return b == 1
+    """Whether s is a unit of R_p, decided by a gcd instead of an inverse (gf2.is_unit)."""
+    return is_unit(s.to_poly())
 
 
 def sample_h_random(params: SystemParams, rng: SeedStream) -> ParityCheck:

@@ -60,7 +60,9 @@ __all__ = [
     "qc_add",
     "qc_transpose",
     "qc_invert",
+    "qc_is_invertible",
     "qc_vec_mul",
+    "is_unit",
     "int_to_bits",
     "bits_to_int",
 ]
@@ -122,7 +124,8 @@ class BitPolynomial:
 
     def transpose(self) -> "BitPolynomial":
         """Polynomial of the transposed circulant: exponents negated mod p."""
-        return BitPolynomial.from_support(self.p, [(-i) % self.p for i in self.support()])
+        reversed_bits = int(format(self.bits, f"0{self.p}b")[::-1], 2)  # i -> p - 1 - i
+        return BitPolynomial(self.p, _cyclic_shift(reversed_bits, 1, self.p))
 
     def to_dense(self) -> np.ndarray:
         """Full p x p circulant expansion (intended for small p)."""
@@ -260,6 +263,29 @@ def poly_inverse(a: BitPolynomial) -> BitPolynomial:
     return inv
 
 
+def _fold_odd(a: BitPolynomial) -> BitPolynomial:
+    """a mod x^q - 1 for q the odd part of p, halving the modulus while it is even."""
+    bits, q = a.bits, a.p
+    while q % 2 == 0:
+        q //= 2
+        bits = (bits >> q) ^ (bits & ((1 << q) - 1))
+    return BitPolynomial(q, bits)
+
+
+def is_unit(a: BitPolynomial) -> bool:
+    """Whether a is a unit of R_p, by Euclid on q-bit ints (p = 2^e q, q odd).
+
+    x^p - 1 = (x^q - 1)^(2^e), so a is a unit iff gcd(a mod (x^q - 1), x^q - 1) = 1.
+    """
+    a = _fold_odd(a)
+    r, b = a.bits, (1 << a.p) | 1
+    while r:
+        while (shift := b.bit_length() - r.bit_length()) >= 0:
+            b ^= r << shift
+        r, b = b, r
+    return b == 1
+
+
 @dataclass(frozen=True)
 class QcMatrix:
     """Grid of circulant blocks, all sharing the same modulus degree p."""
@@ -339,7 +365,7 @@ def qc_invert(a: QcMatrix) -> QcMatrix:
     May reject some invertible matrices: if at some elimination step no
     remaining block in the pivot column is invertible in R_p, the matrix is
     reported singular and the caller is expected to resample.  Any returned
-    inverse is exact.
+    inverse is exact.  Callers that only test invertibility use qc_is_invertible.
     """
     if a.rows0 != a.cols0:
         raise ParameterError("only square block matrices can be inverted")
@@ -368,6 +394,29 @@ def qc_invert(a: QcMatrix) -> QcMatrix:
             work[r] = [x + poly_mul(factor, y) for x, y in zip(work[r], work[col])]
             aug[r] = [x + poly_mul(factor, y) for x, y in zip(aug[r], aug[col])]
     return QcMatrix(n, n, p, tuple(tuple(row) for row in aug))
+
+
+def qc_is_invertible(a: QcMatrix) -> bool:
+    """Whether a square block matrix is invertible over R_p: its determinant is a unit.
+
+    Reduction mod x^q - 1 is a ring map, so the determinant is taken over R_q by
+    Laplace expansion, minors memoized on their column sets (n 2^(n-1) products
+    at most, zero blocks skipped); at p = 2^e it is that of the weight parities.
+    """
+    if a.rows0 != a.cols0:
+        raise ParameterError("only square block matrices have a determinant")
+    n, q = a.rows0, a.p >> ((a.p & -a.p).bit_length() - 1)
+    folded = [[_fold_odd(blk) for blk in row] for row in a.blocks]
+
+    @lru_cache(maxsize=None)
+    def minor(cols: int) -> BitPolynomial:
+        """Determinant of the last popcount(cols) rows on the block columns in cols."""
+        if not cols:
+            return BitPolynomial.one(q)
+        row = folded[n - cols.bit_count()]
+        pairs = ((row[j], minor(cols & ~(1 << j))) for j in range(n) if cols >> j & 1 and row[j])
+        return BitPolynomial(q, _product_bits(pairs, q))
+    return is_unit(minor((1 << n) - 1))
 
 
 def qc_vec_mul(v: np.ndarray, a: QcMatrix) -> np.ndarray:

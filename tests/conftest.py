@@ -41,16 +41,24 @@ def mdpc_h():
 
 
 @pytest.fixture(scope="session")
-def fresh_python():
+def child_env():
+    """Environment for a child interpreter that imports the source tree this process imported.
+
+    The absolute source root leads PYTHONPATH, so neither the child's working
+    directory nor a relative PYTHONPATH entry decides which qcmc it loads.
+    """
+    src_root = str(Path(qcmc.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src_root, os.environ.get("PYTHONPATH"))))}
+
+
+@pytest.fixture(scope="session")
+def fresh_python(child_env):
     """Run code in a new interpreter on the source tree this process imported.
 
     Returns the lines the code printed.
     """
-    src_root = str(Path(qcmc.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src_root, os.environ.get("PYTHONPATH"))))}
-
     def run(code: str) -> list[str]:
         return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, check=True, timeout=120).stdout.splitlines()
+                              env=child_env, check=True, timeout=120).stdout.splitlines()
     return run

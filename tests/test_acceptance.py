@@ -7,16 +7,13 @@ everything else runs in the default suite within minutes.
 """
 
 import math
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import qcmc
 from oracles import circulant_dense, gf2_inv, gf2_matmul, gf2_rank
 from qcmc.attacks import dca_wf_at, isd_wf, isda_wf_at, IsdInstance, q_space_size
 from qcmc.crypto import decrypt, encrypt, keygen, save_private_key
@@ -306,7 +303,7 @@ class TestCriterion9PropertySuites:
         report("9 ISD monotonicity",
                "nonincreasing in multiplicity, nondecreasing in weight")
 
-    def test_seeded_commands_bit_identical(self, tmp_path):
+    def test_seeded_commands_bit_identical(self, tmp_path, child_env):
         from qcmc.crypto import save_ciphertext
         params = SystemParams.make(2, 256, 5, 2, sigma_w=6)
         for name in ("one", "two"):
@@ -318,16 +315,10 @@ class TestCriterion9PropertySuites:
         assert (tmp_path / "one.sk").read_bytes() == (tmp_path / "two.sk").read_bytes()
         assert (tmp_path / "one.ct").read_bytes() == (tmp_path / "two.ct").read_bytes()
 
-        # Run the CLI from the source tree this process imported, whatever the
-        # working directory or a relative PYTHONPATH entry would resolve to.
-        src_root = str(Path(qcmc.__file__).resolve().parent.parent)
-        inherited = os.environ.get("PYTHONPATH")
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, (src_root, inherited)))}
         cmd = [sys.executable, "-m", "qcmc.cli", "threshold", "--n0", "4",
                "--dv", "13", "--p-range", "12288"]
         runs = [subprocess.run(cmd, capture_output=True, text=True, cwd=tmp_path,
-                               env=env)
+                               env=child_env)
                 for _ in range(2)]
         for run in runs:
             assert run.returncode == 0, run.stderr

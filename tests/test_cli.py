@@ -1,6 +1,5 @@
 """Command-line interface: workflows, determinism, exit codes."""
 
-import os
 import re
 import subprocess
 import sys
@@ -290,13 +289,10 @@ def test_decrypt_rejects_singular_key_matrix(workdir, capsys, matrix):
     assert "error-category: SingularMatrixError" in capsys.readouterr().err
 
 
-def test_threshold_ignores_qcmc_jobs_variable(tmp_path):
-    src_root = str(Path(qcmc.__file__).resolve().parent.parent)
-    env = {**os.environ, "QCMC_JOBS": "abc", "PYTHONPATH": os.pathsep.join(
-        filter(None, (src_root, os.environ.get("PYTHONPATH"))))}
+def test_threshold_ignores_qcmc_jobs_variable(tmp_path, child_env):
     proc = subprocess.run([sys.executable, "-m", "qcmc.cli", "threshold", "--dv", "13",
                            "--p-range", "12288"], capture_output=True, text=True,
-                          cwd=tmp_path, env=env)
+                          cwd=tmp_path, env={**child_env, "QCMC_JOBS": "abc"})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["n,d_v,b_opt,t_max", "12288,13,10,134"]
 

@@ -1,10 +1,12 @@
 """Key generation, encryption, decryption, serialization, failure modes."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+import qcmc.crypto
 from oracles import gf2_inv, gf2_matmul
 from qcmc.crypto import (KeyMode, _sample_q, decrypt, encrypt, keygen, load_ciphertext,
                          load_private_key, load_public_key, public_parity_check,
@@ -13,8 +15,8 @@ from qcmc.crypto import (KeyMode, _sample_q, decrypt, encrypt, keygen, load_ciph
 from qcmc.crypto import load_key
 from qcmc.decoder import Algorithm, DecoderConfig
 from qcmc.design import SystemParams, systematic_generator
-from qcmc.errors import DecodingFailure, ParameterError
-from qcmc.gf2 import qc_mul, qc_transpose, qc_vec_mul
+from qcmc.errors import DecodingFailure, ParameterError, SingularMatrixError
+from qcmc.gf2 import BitPolynomial, QcMatrix, qc_invert, qc_mul, qc_transpose, qc_vec_mul
 from qcmc.prng import SeedStream
 
 
@@ -72,6 +74,31 @@ class TestKeygen:
         (SystemParams.make(2, 64, 5, 2), KeyMode.SYSTEMATIC,  # m = 1
          "a6aafc05410a9c5059c8049dbe7d05817b2e9a57104cfffbae391e5af8247011",
          "97327e43318e6eff70c086d8aa1075c930e3a0d40de61eed44ae9269f9eb1f2b"),
+        # key sizes whose odd parts q are 1, 5, 4801 (p prime) and 49
+        (SystemParams.make(4, 4096, 15, 40, sigma_w=15), KeyMode.CLASSIC,
+         "3663364736bcfc876b0191820920d22179a117bb77a4265d65be8dc57a88dbac",
+         "c59c1c4ead1b937e661ddc1facf53e7f1dbc4914dd0929d87233ab38847201c0"),
+        (SystemParams.make(4, 4096, 15, 40, sigma_w=15), KeyMode.SYSTEMATIC,
+         "cdd83ec693ebb88e4529e48240e1a6de0027d3c28c113e8701dcabdc8361e4da",
+         "0fe4fd05da295a05004133fdae547ed8ea767da5ce53d849969444d6ab5f09f1"),
+        (SystemParams.make(4, 5120, 15, 40, sigma_w=15), KeyMode.CLASSIC,
+         "c691b31f02d75a16360461c93ed0baa81e3f88931a81851b6a271a8c0e8ad262",
+         "9284efb4c530963f18f1052675f08eb92120b7b96713d5ee105338272402ba98"),
+        (SystemParams.make(4, 5120, 15, 40, sigma_w=15), KeyMode.SYSTEMATIC,
+         "064eda1d367ddeb868e4c0f1d7f4a6306907989537487ccab02d364586d93f5b",
+         "a8d898c94665285276c55a6fb63ae8caca2c9244d2150280fc9804fb1a413da7"),
+        (SystemParams.make(4, 4801, 15, 40, sigma_w=15), KeyMode.CLASSIC,
+         "a1d6ad03155e2fc83519bf0a58546bac7038abbf199c4a8bb6c08d811e319973",
+         "6285f7440324aeb3ebe54cbf185f2441bb9a69af3928b3e458cbc07f6ed1efc4"),
+        (SystemParams.make(4, 4801, 15, 40, sigma_w=15), KeyMode.SYSTEMATIC,
+         "2f2f8b44c04d6e85bd29f9264bbc41b614ae3e1ea3e411bbecfd8de15a26d998",
+         "55be66e117699688e25ad6f4cab53ce0bb8cdf5dcceae5ab1807a7d7b99f99fc"),
+        (SystemParams.make(4, 6272, 15, 40, sigma_w=15), KeyMode.CLASSIC,
+         "fea484e2a725f96d7f21a467ef5f680f28249911497ba552f8482d708b6bf43c",
+         "07020ae2d7cc7680c130ddfece06340775e27150e152287d7df5575ad3cc1d8d"),
+        (SystemParams.make(4, 6272, 15, 40, sigma_w=15), KeyMode.SYSTEMATIC,
+         "55b96470455cc04777387658fb2bb857c2ee158a2a657b40936d18c58fa9f9c5",
+         "d53572bc2b9a330c4bea11e26ab6e51617abb013db51c1d8380ff707f8cde70d"),
     ]
 
     def test_deterministic(self, toy_params, tmp_path):
@@ -87,6 +114,16 @@ class TestKeygen:
             save_public_key(pk, tmp_path / "g.pk")
             assert hashlib.sha256((tmp_path / "g.sk").read_bytes()).hexdigest() == sk_digest
             assert hashlib.sha256((tmp_path / "g.pk").read_bytes()).hexdigest() == pk_digest
+
+    @pytest.mark.parametrize("mode", list(KeyMode))
+    def test_inverts_only_accepted_matrices(self, monkeypatch, mode):
+        # at p = 2^e a matrix with a unit determinant always has a unit pivot,
+        # so the one qc_invert per S and Q is the one that returns the inverse
+        calls = []
+        monkeypatch.setattr(qcmc.crypto, "qc_invert",
+                            lambda m: calls.append(m) or qc_invert(m))
+        sk, _ = keygen(SystemParams.make(4, 4096, 15, 47, sigma_w=15), 0xC0FFEE, mode)
+        assert calls == [sk.Q, sk.S]
 
     def test_dense_oracle_full_pipeline(self):
         # classic mode at p=8: G' = S^-1 G Q^-1 checked against dense algebra
@@ -304,6 +341,21 @@ class TestSerialization:
         u = random_message(toy_params.k, 14)
         c = encrypt(pk2, u, SeedStream(15, "e"))
         assert np.array_equal(decrypt(sk2, c), u)
+
+    def test_load_checks_determinants_without_inverting(self, monkeypatch, tmp_path):
+        # S = [[1 + x, 1], [1 + x + x^2, 1]] at p = 21: no unit in block column
+        # 0, so qc_invert rejects it, but its determinant x^2 is a unit
+        params = SystemParams.make(3, 21, 3, 1, sigma_w=3)
+        sk, _ = keygen(params, 5)
+        crafted = QcMatrix.from_blocks([
+            [BitPolynomial.from_support(21, [0, 1]), BitPolynomial.one(21)],
+            [BitPolynomial.from_support(21, [0, 1, 2]), BitPolynomial.one(21)],
+        ])
+        with pytest.raises(SingularMatrixError):
+            qc_invert(crafted)
+        save_private_key(dataclasses.replace(sk, S=crafted), tmp_path / "k.sk")
+        monkeypatch.setattr(qcmc.crypto, "qc_invert", None)
+        assert load_private_key(tmp_path / "k.sk").S == crafted
 
     def test_seed_field_decides_key_kind(self, toy_keys, tmp_path):
         sk, pk = toy_keys

@@ -1,8 +1,5 @@
 """Ring arithmetic against dense GF(2) matrix oracles and frozen examples."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +10,11 @@ import qcmc.gf2
 from oracles import (blockwise_qc_mul, circulant_dense, euclid_inverse, gf2_inv, gf2_matmul,
                      gf2_rank, linear_fft_poly_mul, poly_divides, poly_mul_shift_xor,
                      support_bit_loop)
+from qcmc.design import pattern_det_gf2
 from qcmc.errors import NotInvertibleError, ParameterError, SingularMatrixError
 from qcmc.gf2 import (FFT_CROSSOVER, BitPolynomial, QcMatrix, SparseSupport, bits_to_int,
                       int_to_bits, poly_inverse, poly_mul, qc_add, qc_invert,
-                      qc_mul, qc_transpose, qc_vec_mul)
+                      qc_is_invertible, qc_mul, qc_transpose, qc_vec_mul)
 from qcmc.optimize import DEFAULT_P_GRID
 from qcmc.prng import SeedStream
 
@@ -196,14 +194,9 @@ class TestSpectralKernel:
             spectrum += 1
 
 
-def test_import_does_not_load_scipy_signal():
-    src_root = str(Path(qcmc.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src_root, os.environ.get("PYTHONPATH"))))}
+def test_import_does_not_load_scipy_signal(fresh_python):
     code = "import sys, qcmc; print(qcmc.__file__); print('scipy.signal' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    loaded_from, signal_loaded = proc.stdout.split()
+    loaded_from, signal_loaded = fresh_python(code)
     assert Path(loaded_from).resolve() == Path(qcmc.__file__).resolve()
     assert signal_loaded == "False"
 
@@ -281,6 +274,62 @@ class TestInverseOracle:
                 assert a.weight % 2 == 1  # gets past the even-weight reject
                 assert self.outcome(poly_inverse, a) == self.outcome(euclid_inverse, a) \
                     == "gcd with x^p - 1 is nontrivial"
+
+
+class TestQcIsInvertible:
+    """qc_is_invertible against the full GF(2) rank of the expanded matrix."""
+
+    @staticmethod
+    def mixed_qc(n, p, rng):
+        """Zero, weight-1 or 3 and uniform blocks, so that units and non-units mix."""
+        def block():
+            kind = rng.below(4)
+            if kind == 0:
+                return BitPolynomial.zero(p)
+            return random_poly(p, rng, 1 + 2 * rng.below(2) if kind == 1 else None)
+        return QcMatrix.from_blocks([[block() for _ in range(n)] for _ in range(n)])
+
+    def test_agrees_with_dense_rank(self):
+        rng = SeedStream(22, "qc-det-oracle")
+        seen = {True: 0, False: 0}
+        pivot_rejected = 0  # invertible, but qc_invert finds no unit pivot
+        for p, n, trials in ((7, 2, 40), (7, 3, 20), (16, 2, 30), (16, 3, 20),
+                             (21, 2, 60), (21, 3, 40), (105, 2, 12), (105, 3, 6)):
+            for _ in range(trials):
+                a = self.mixed_qc(n, p, rng)
+                invertible = gf2_rank(a.expand()) == n * p
+                assert qc_is_invertible(a) == invertible, (p, a)
+                seen[invertible] += 1
+                try:
+                    qc_invert(a)
+                except SingularMatrixError:
+                    pivot_rejected += invertible
+                else:
+                    assert invertible
+        assert min(seen.values()) >= 40 and pivot_rejected >= 3, (seen, pivot_rejected)
+
+    def test_dense_blocks_at_odd_p(self):
+        # q = p = 257 > FFT_CROSSOVER: the minors are products of spectra
+        rng = SeedStream(23, "qc-det-dense")
+        a, b, c = (dense_poly(257, rng) for _ in range(3))
+        singular = QcMatrix.from_blocks([[a, b], [poly_mul(c, a), poly_mul(c, b)]])
+        for m in (singular, QcMatrix.from_blocks([[a, b], [c, dense_poly(257, rng)]]),
+                  random_qc(2, 2, 257, rng)):
+            assert qc_is_invertible(m) == (gf2_rank(m.expand()) == 2 * 257)
+        assert not qc_is_invertible(singular)
+
+    def test_power_of_two_p_is_the_parity_determinant(self):
+        rng = SeedStream(24, "qc-det-parity")
+        for _ in range(50):
+            a = self.mixed_qc(3, 4096, rng)
+            parity = [[blk.weight & 1 for blk in row] for row in a.blocks]
+            assert qc_is_invertible(a) == bool(pattern_det_gf2(parity))
+
+    def test_edges(self):
+        assert qc_is_invertible(QcMatrix.identity(8, 4801))
+        assert not qc_is_invertible(QcMatrix.from_blocks([[BitPolynomial.zero(7)]]))
+        with pytest.raises(ParameterError):
+            qc_is_invertible(random_qc(2, 3, 8, SeedStream(25, "qc-det-shape")))
 
 
 class TestSerialization:
@@ -371,6 +420,16 @@ class TestQcOps:
         a = BitPolynomial.from_support(5, [1, 3])
         assert a.transpose().support() == (2, 4)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 64, 4096, 4801])
+    def test_transpose_matches_negated_support(self, p):
+        rng = SeedStream(21, f"poly-trans-{p}")
+        polys = [BitPolynomial.zero(p), BitPolynomial.one(p), BitPolynomial(p, (1 << p) - 1)]
+        polys += [random_poly(p, rng) for _ in range(5)]
+        polys += [random_poly(p, rng, min(w, p)) for w in (1, 2, 15)]
+        for a in polys:
+            assert a.transpose() == BitPolynomial.from_support(
+                p, [(-i) % p for i in a.support()])
+
     def test_invert_identity_and_1x1(self):
         assert qc_invert(QcMatrix.identity(3, 8)) == QcMatrix.identity(3, 8)
         a = BitPolynomial.from_support(9, [0, 1, 3])
@@ -396,6 +455,19 @@ class TestQcOps:
         rng = SeedStream(14, "qc-sq")
         with pytest.raises(ParameterError):
             qc_invert(random_qc(2, 3, 8, rng))
+
+    def test_invert_rejects_invertible_without_unit_pivot(self):
+        # (1 + x) and (1 + x + x^2) both divide x^p - 1 when 3 | p, so no block
+        # of column 0 is a unit, yet the determinant (1 + x) + (1 + x + x^2) = x^2 is
+        for p in (21, 105):
+            a = QcMatrix.from_blocks([
+                [BitPolynomial.from_support(p, [0, 1]), BitPolynomial.one(p)],
+                [BitPolynomial.from_support(p, [0, 1, 2]), BitPolynomial.one(p)],
+            ])
+            assert gf2_rank(a.expand()) == 2 * p
+            assert qc_is_invertible(a)
+            with pytest.raises(SingularMatrixError):
+                qc_invert(a)
 
     def test_vec_mul_trivial_and_dense(self):
         rng = SeedStream(15, "qc-vec")
