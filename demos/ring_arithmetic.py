@@ -50,4 +50,4 @@ while True:  # random block matrices are singular now and then: resample
     except SingularMatrixError:
         continue
 assert qc_mul(A, A_inv) == QcMatrix.identity(2, p)
-print("2x2 block matrix inverted by block Gaussian elimination; A * A^-1 == I")
+print("2x2 block matrix inverted as the adjugate times det^-1; A * A^-1 == I")

@@ -85,11 +85,8 @@ def random_error_vector(n: int, t: int, rng: SeedStream) -> np.ndarray:
 
 
 def _inverse_or_none(mat: QcMatrix) -> QcMatrix | None:
-    """qc_invert(mat), or None if it fails; a singular mat skips the elimination."""
-    try:
-        return qc_invert(mat) if qc_is_invertible(mat) else None
-    except SingularMatrixError:
-        return None
+    """qc_invert(mat), or None if mat is singular; the determinant decides before inverting."""
+    return qc_invert(mat) if qc_is_invertible(mat) else None
 
 
 def _sample_invertible(n: int, p: int, draw, what: str) -> tuple[QcMatrix, QcMatrix]:

@@ -14,7 +14,7 @@ class NotInvertibleError(QcmcError):
 
 
 class SingularMatrixError(QcmcError):
-    """Block matrix inversion found no invertible pivot (caller should resample)."""
+    """Block matrix determinant is not a unit, so no inverse exists (caller should resample)."""
 
 
 class DesignFailure(QcmcError):

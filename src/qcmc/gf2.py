@@ -34,6 +34,14 @@ a(x) -> a(x^(2^j)), which move coefficient i to i 2^j mod p and cancel
 collisions.  Even weight (a multiple of x + 1) is rejected before any
 product, every other non-unit by one more product: a * a^(E-1) != 1.
 
+Block matrices are inverted by Cramer's rule: over a commutative ring
+adj(A) A = det(A) I, so A^-1 = det^-1 adj(A) exactly when det is a unit.  One
+memoized Laplace expansion, _minors, gives the determinant and every cofactor.
+qc_is_invertible runs it over R_q (p = 2^e q, q odd) and tests the result
+with is_unit; qc_invert runs it over R_p and makes one poly_inverse.  Unlike
+block Gauss-Jordan elimination, this never rejects an invertible matrix for
+want of a unit pivot.
+
 Serialized form of a polynomial: ceil(p/8) bytes, little-endian bit order
 (coefficient of x^i lives in bit i mod 8 of byte i // 8), rendered as
 lowercase hex.
@@ -359,64 +367,43 @@ def qc_transpose(a: QcMatrix) -> QcMatrix:
     ))
 
 
-def qc_invert(a: QcMatrix) -> QcMatrix:
-    """Inverse by block Gauss-Jordan elimination, pivoting on ring-invertible blocks.
+def _minors(blocks, p: int):
+    """minor(rows, cols): memoized determinant over R_p of the blocks on two bitmasks
+    of equal popcount, expanded along the lowest row with zero blocks skipped."""
+    @lru_cache(maxsize=None)
+    def minor(rows: int, cols: int) -> BitPolynomial:
+        if not rows:
+            return BitPolynomial.one(p)
+        low = rows & -rows
+        row = blocks[low.bit_length() - 1]
+        pairs = ((row[j], minor(rows ^ low, cols & ~(1 << j)))
+                 for j in range(len(row)) if cols >> j & 1 and row[j])
+        return BitPolynomial(p, _product_bits(pairs, p))
+    return minor
 
-    May reject some invertible matrices: if at some elimination step no
-    remaining block in the pivot column is invertible in R_p, the matrix is
-    reported singular and the caller is expected to resample.  Any returned
-    inverse is exact.  Callers that only test invertibility use qc_is_invertible.
-    """
+
+def qc_invert(a: QcMatrix) -> QcMatrix:
+    """Inverse as the adjugate times det^-1, about n^2 2^n products (slower than block
+    Gauss-Jordan elimination from n = 6); SingularMatrixError unless det is a unit."""
     if a.rows0 != a.cols0:
         raise ParameterError("only square block matrices can be inverted")
-    n, p = a.rows0, a.p
-    work = [list(row) for row in a.blocks]
-    aug = [list(row) for row in QcMatrix.identity(n, p).blocks]
-    for col in range(n):
-        pivot_row, pivot_inv = None, None
-        for r in range(col, n):
-            try:
-                pivot_inv = poly_inverse(work[r][col])
-                pivot_row = r
-                break
-            except NotInvertibleError:
-                continue
-        if pivot_row is None:
-            raise SingularMatrixError(f"no invertible pivot in block column {col}")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        work[col] = [poly_mul(pivot_inv, blk) for blk in work[col]]
-        aug[col] = [poly_mul(pivot_inv, blk) for blk in aug[col]]
-        for r in range(n):
-            factor = work[r][col]
-            if r == col or not factor:
-                continue
-            work[r] = [x + poly_mul(factor, y) for x, y in zip(work[r], work[col])]
-            aug[r] = [x + poly_mul(factor, y) for x, y in zip(aug[r], aug[col])]
-    return QcMatrix(n, n, p, tuple(tuple(row) for row in aug))
+    n, full, minor = a.rows0, (1 << a.rows0) - 1, _minors(a.blocks, a.p)
+    try:
+        det_inv = poly_inverse(minor(full, full))
+    except NotInvertibleError:
+        raise SingularMatrixError("determinant is not a unit") from None
+    return QcMatrix(n, n, a.p, tuple(
+        tuple(poly_mul(minor(full ^ 1 << j, full ^ 1 << i), det_inv) for j in range(n))
+        for i in range(n)))
 
 
 def qc_is_invertible(a: QcMatrix) -> bool:
-    """Whether a square block matrix is invertible over R_p: its determinant is a unit.
-
-    Reduction mod x^q - 1 is a ring map, so the determinant is taken over R_q by
-    Laplace expansion, minors memoized on their column sets (n 2^(n-1) products
-    at most, zero blocks skipped); at p = 2^e it is that of the weight parities.
-    """
+    """Whether a square block matrix is invertible: its determinant over R_q is a unit
+    (reduction mod x^q - 1 is a ring map; at p = 2^e, the weight parities' determinant)."""
     if a.rows0 != a.cols0:
         raise ParameterError("only square block matrices have a determinant")
-    n, q = a.rows0, a.p >> ((a.p & -a.p).bit_length() - 1)
-    folded = [[_fold_odd(blk) for blk in row] for row in a.blocks]
-
-    @lru_cache(maxsize=None)
-    def minor(cols: int) -> BitPolynomial:
-        """Determinant of the last popcount(cols) rows on the block columns in cols."""
-        if not cols:
-            return BitPolynomial.one(q)
-        row = folded[n - cols.bit_count()]
-        pairs = ((row[j], minor(cols & ~(1 << j))) for j in range(n) if cols >> j & 1 and row[j])
-        return BitPolynomial(q, _product_bits(pairs, q))
-    return is_unit(minor((1 << n) - 1))
+    full, q = (1 << a.rows0) - 1, a.p >> ((a.p & -a.p).bit_length() - 1)
+    return is_unit(_minors([[_fold_odd(b) for b in row] for row in a.blocks], q)(full, full))
 
 
 def qc_vec_mul(v: np.ndarray, a: QcMatrix) -> np.ndarray:

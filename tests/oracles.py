@@ -1,9 +1,10 @@
 """Independent oracles for tests: dense GF(2) linear algebra, plain polynomial
 division over GF(2), the shift-xor ring product, the ring product by a
 zero-padded linear FFT and the block product summed one ring product at a
-time, ring inversion by the extended Euclidean algorithm, a small executable
-Stern search, the full ISDA shift-count scan, the ISDA branch-and-bound as
-it was before best-bound-first order, the Stern cost grid on a full meshgrid,
+time, ring inversion by the extended Euclidean algorithm, block matrix
+inversion by Gauss-Jordan elimination, a small executable Stern search, the
+full ISDA shift-count scan, the ISDA branch-and-bound as it was before
+best-bound-first order, the Stern cost grid on a full meshgrid,
 the security targets searched by full ISDA minimization, the decoding
 threshold searched once per decision threshold b and as it was before it kept
 the winning b, the binomial tail, lgamma binomials and Stern cost grid as they
@@ -14,20 +15,23 @@ their passes became incremental and in place.
 Everything here is deliberately separate from the package implementation:
 dense matrices instead of ring arithmetic, schoolbook algorithms instead of
 packed-bit tricks or FFTs, a folded linear convolution per block pair instead
-of summed cyclic spectra, Euclid instead of exponentiation, an exhaustive
-scan instead of branch-and-bound, the lower half first instead of the lower
-bound first, a final probe instead of a kept b, a full meshgrid instead of broadcast
-one-dimensional terms, a minimum instead of a decision against the target,
-one t search per b instead of one for all b, fancy-index gathers instead of
-circulant rotations, full recomputation instead of incremental updates, a binomial per term
-instead of a cached row, a masked lgamma per binomial instead of an unmasked
-one over stacked columns, so agreement is meaningful.
+of summed cyclic spectra, Euclid instead of exponentiation, unit pivots
+instead of the adjugate, an exhaustive scan instead of branch-and-bound, the
+lower half first instead of the lower bound first, a final probe instead of a
+kept b, a full meshgrid instead of broadcast one-dimensional terms, a minimum
+instead of a decision against the target, one t search per b instead of one
+for all b, fancy-index gathers instead of circulant rotations, full
+recomputation instead of incremental updates, a binomial per term instead of a
+cached row, a masked lgamma per binomial instead of an unmasked one over
+stacked columns, so agreement is meaningful.
 
 The package's inversion a^-1 = a^(E-1) follows T. Itoh and S. Tsujii, "A fast
 algorithm for computing multiplicative inverses in GF(2^m) using normal
 bases", Inform. and Comput. 78 (1988), and N. Drucker, S. Gueron and
 D. Kostic, "Fast polynomial inversion for post quantum QC-MDPC
-cryptography" (2020).
+cryptography" (2020).  Its block inverse det^-1 adj(A) is Cramer's rule over a
+commutative ring (B. R. McDonald, "Linear Algebra over Commutative Rings",
+1984).
 """
 
 import math
@@ -40,8 +44,9 @@ from qcmc.attacks import (ELL_MAX, LEAF_SIZE, LN2, PRUNE_MARGIN, PS_MAX, IsdInst
 from qcmc.decoder import (LLR_CLAMP, Algorithm, DecodeOutcome, DecoderConfig, _check_p0,
                           _checked_word)
 from qcmc.design import ParityCheck
-from qcmc.errors import NotInvertibleError, ParameterError
-from qcmc.gf2 import FFT_CROSSOVER, BitPolynomial, QcMatrix, _cyclic_shift, bits_to_int
+from qcmc.errors import NotInvertibleError, ParameterError, SingularMatrixError
+from qcmc.gf2 import (FFT_CROSSOVER, BitPolynomial, QcMatrix, _cyclic_shift, bits_to_int,
+                      poly_mul)
 from qcmc.optimize import D_V_PRIME_MAX, T_MAX, _smallest_over
 from qcmc.threshold import MAX_RECURSION_STEPS, _converges
 
@@ -201,6 +206,39 @@ def euclid_inverse(a: BitPolynomial) -> BitPolynomial:
         raise NotInvertibleError("gcd with x^p - 1 is nontrivial")
     _, s0 = _poly_divmod(s0, modulus)
     return BitPolynomial(p, s0)
+
+
+def elimination_invert(a: QcMatrix) -> QcMatrix:
+    """Inverse by block Gauss-Jordan elimination, pivoting on blocks euclid_inverse inverts.
+
+    Raises SingularMatrixError when no block left in a pivot column is a unit
+    of R_p, which also happens to some invertible matrices (at q > 1 only).
+    """
+    if a.rows0 != a.cols0:
+        raise ParameterError("only square block matrices can be inverted")
+    n = a.rows0
+    work = [list(row) for row in a.blocks]
+    aug = [list(row) for row in QcMatrix.identity(n, a.p).blocks]
+    for col in range(n):
+        for r in range(col, n):
+            try:
+                pivot_inv = euclid_inverse(work[r][col])
+                break
+            except NotInvertibleError:
+                continue
+        else:
+            raise SingularMatrixError(f"no invertible pivot in block column {col}")
+        work[col], work[r] = work[r], work[col]
+        aug[col], aug[r] = aug[r], aug[col]
+        work[col] = [poly_mul(pivot_inv, blk) for blk in work[col]]
+        aug[col] = [poly_mul(pivot_inv, blk) for blk in aug[col]]
+        for r in range(n):
+            factor = work[r][col]
+            if r == col or not factor:
+                continue
+            work[r] = [x + poly_mul(factor, y) for x, y in zip(work[r], work[col])]
+            aug[r] = [x + poly_mul(factor, y) for x, y in zip(aug[r], aug[col])]
+    return QcMatrix(n, n, a.p, tuple(tuple(row) for row in aug))
 
 
 def circulant_dense(first_row):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import qcmc.crypto
-from oracles import gf2_inv, gf2_matmul
+import qcmc.gf2
+from oracles import elimination_invert, gf2_inv, gf2_matmul
 from qcmc.crypto import (KeyMode, _sample_q, decrypt, encrypt, keygen, load_ciphertext,
                          load_private_key, load_public_key, public_parity_check,
                          random_error_vector, save_ciphertext, save_private_key,
@@ -16,7 +17,8 @@ from qcmc.crypto import load_key
 from qcmc.decoder import Algorithm, DecoderConfig
 from qcmc.design import SystemParams, systematic_generator
 from qcmc.errors import DecodingFailure, ParameterError, SingularMatrixError
-from qcmc.gf2 import BitPolynomial, QcMatrix, qc_invert, qc_mul, qc_transpose, qc_vec_mul
+from qcmc.gf2 import (BitPolynomial, QcMatrix, poly_inverse, qc_invert, qc_mul, qc_transpose,
+                      qc_vec_mul)
 from qcmc.prng import SeedStream
 
 
@@ -117,13 +119,28 @@ class TestKeygen:
 
     @pytest.mark.parametrize("mode", list(KeyMode))
     def test_inverts_only_accepted_matrices(self, monkeypatch, mode):
-        # at p = 2^e a matrix with a unit determinant always has a unit pivot,
-        # so the one qc_invert per S and Q is the one that returns the inverse
+        # qc_invert never fails on a matrix qc_is_invertible accepts, so the one
+        # qc_invert per S and Q is the one that returns the inverse
         calls = []
         monkeypatch.setattr(qcmc.crypto, "qc_invert",
                             lambda m: calls.append(m) or qc_invert(m))
         sk, _ = keygen(SystemParams.make(4, 4096, 15, 47, sigma_w=15), 0xC0FFEE, mode)
         assert calls == [sk.Q, sk.S]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_keeps_s_that_elimination_rejects(self, monkeypatch, seed):
+        # at p = 21 = 3 * 7 block Gauss-Jordan elimination finds no unit pivot
+        # for the kept S at some step, so it would have drawn another S
+        inverts, inverses = [], []
+        monkeypatch.setattr(qcmc.crypto, "qc_invert",
+                            lambda m: inverts.append(m) or qc_invert(m))
+        monkeypatch.setattr(qcmc.gf2, "poly_inverse",
+                            lambda a: inverses.append(a) or poly_inverse(a))
+        sk, _ = keygen(SystemParams.make(3, 21, 3, 1, sigma_w=3), seed)
+        assert inverts == [sk.Q, sk.S] and len(inverses) == len(inverts)
+        with pytest.raises(SingularMatrixError):
+            elimination_invert(sk.S)
+        assert qc_mul(sk.S, qc_invert(sk.S)) == QcMatrix.identity(2, 21)
 
     def test_dense_oracle_full_pipeline(self):
         # classic mode at p=8: G' = S^-1 G Q^-1 checked against dense algebra
@@ -344,15 +361,14 @@ class TestSerialization:
 
     def test_load_checks_determinants_without_inverting(self, monkeypatch, tmp_path):
         # S = [[1 + x, 1], [1 + x + x^2, 1]] at p = 21: no unit in block column
-        # 0, so qc_invert rejects it, but its determinant x^2 is a unit
+        # 0, so elimination rejects it, but its determinant x^2 is a unit
         params = SystemParams.make(3, 21, 3, 1, sigma_w=3)
         sk, _ = keygen(params, 5)
         crafted = QcMatrix.from_blocks([
             [BitPolynomial.from_support(21, [0, 1]), BitPolynomial.one(21)],
             [BitPolynomial.from_support(21, [0, 1, 2]), BitPolynomial.one(21)],
         ])
-        with pytest.raises(SingularMatrixError):
-            qc_invert(crafted)
+        assert np.array_equal(qc_invert(crafted).expand(), gf2_inv(crafted.expand()))
         save_private_key(dataclasses.replace(sk, S=crafted), tmp_path / "k.sk")
         monkeypatch.setattr(qcmc.crypto, "qc_invert", None)
         assert load_private_key(tmp_path / "k.sk").S == crafted

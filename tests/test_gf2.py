@@ -7,10 +7,10 @@ import pytest
 
 import qcmc
 import qcmc.gf2
-from oracles import (blockwise_qc_mul, circulant_dense, euclid_inverse, gf2_inv, gf2_matmul,
-                     gf2_rank, linear_fft_poly_mul, poly_divides, poly_mul_shift_xor,
-                     support_bit_loop)
-from qcmc.design import pattern_det_gf2
+from oracles import (blockwise_qc_mul, circulant_dense, elimination_invert, euclid_inverse,
+                     gf2_inv, gf2_matmul, gf2_rank, linear_fft_poly_mul, poly_divides,
+                     poly_mul_shift_xor, support_bit_loop)
+from qcmc.design import SystemParams, pattern_det_gf2
 from qcmc.errors import NotInvertibleError, ParameterError, SingularMatrixError
 from qcmc.gf2 import (FFT_CROSSOVER, BitPolynomial, QcMatrix, SparseSupport, bits_to_int,
                       int_to_bits, poly_inverse, poly_mul, qc_add, qc_invert,
@@ -292,7 +292,7 @@ class TestQcIsInvertible:
     def test_agrees_with_dense_rank(self):
         rng = SeedStream(22, "qc-det-oracle")
         seen = {True: 0, False: 0}
-        pivot_rejected = 0  # invertible, but qc_invert finds no unit pivot
+        pivot_rejected = 0  # invertible, but elimination finds no unit pivot
         for p, n, trials in ((7, 2, 40), (7, 3, 20), (16, 2, 30), (16, 3, 20),
                              (21, 2, 60), (21, 3, 40), (105, 2, 12), (105, 3, 6)):
             for _ in range(trials):
@@ -300,12 +300,15 @@ class TestQcIsInvertible:
                 invertible = gf2_rank(a.expand()) == n * p
                 assert qc_is_invertible(a) == invertible, (p, a)
                 seen[invertible] += 1
+                if not invertible:
+                    with pytest.raises(SingularMatrixError):
+                        qc_invert(a)
+                    continue
+                assert np.array_equal(qc_invert(a).expand(), gf2_inv(a.expand())), (p, a)
                 try:
-                    qc_invert(a)
+                    elimination_invert(a)
                 except SingularMatrixError:
-                    pivot_rejected += invertible
-                else:
-                    assert invertible
+                    pivot_rejected += 1
         assert min(seen.values()) >= 40 and pivot_rejected >= 3, (seen, pivot_rejected)
 
     def test_dense_blocks_at_odd_p(self):
@@ -330,6 +333,41 @@ class TestQcIsInvertible:
         assert not qc_is_invertible(QcMatrix.from_blocks([[BitPolynomial.zero(7)]]))
         with pytest.raises(ParameterError):
             qc_is_invertible(random_qc(2, 3, 8, SeedStream(25, "qc-det-shape")))
+
+
+class TestBlockInverseOracle:
+    """qc_invert against block Gauss-Jordan elimination on keygen-shaped matrices."""
+
+    @pytest.mark.parametrize("p", [4096, 4801, 6272])
+    def test_agrees_with_elimination(self, p):
+        # dense 3 x 3 S, whose minors are products of spectra, and sparse 4 x 4 Q
+        # with the (4, 15, 40, sigma_w = 15) weight pattern, drawn until two of
+        # each are invertible
+        rng = SeedStream(26, f"qc-inv-oracle-{p}")
+        weights = SystemParams.make(4, p, 15, 40, sigma_w=15).W
+        shapes = (lambda: random_qc(3, 3, p, rng),
+                  lambda: QcMatrix.from_blocks(
+                      [[random_poly(p, rng, w) for w in row] for row in weights]))
+        agreed = 0
+        for draw in shapes:
+            inverted = 0
+            for _ in range(30):
+                a = draw()
+                if not qc_is_invertible(a):
+                    with pytest.raises(SingularMatrixError):
+                        qc_invert(a)
+                    continue
+                inv = qc_invert(a)
+                assert qc_mul(a, inv) == QcMatrix.identity(a.rows0, p)
+                try:
+                    assert inv == elimination_invert(a)
+                    agreed += 1
+                except SingularMatrixError:
+                    pass
+                if (inverted := inverted + 1) == 2:
+                    break
+            assert inverted == 2
+        assert agreed >= 3, agreed
 
 
 class TestSerialization:
@@ -458,7 +496,8 @@ class TestQcOps:
 
     def test_invert_rejects_invertible_without_unit_pivot(self):
         # (1 + x) and (1 + x + x^2) both divide x^p - 1 when 3 | p, so no block
-        # of column 0 is a unit, yet the determinant (1 + x) + (1 + x + x^2) = x^2 is
+        # of column 0 is a unit, yet the determinant (1 + x) + (1 + x + x^2) = x^2 is:
+        # elimination rejects the matrix, the adjugate inverts it
         for p in (21, 105):
             a = QcMatrix.from_blocks([
                 [BitPolynomial.from_support(p, [0, 1]), BitPolynomial.one(p)],
@@ -466,8 +505,9 @@ class TestQcOps:
             ])
             assert gf2_rank(a.expand()) == 2 * p
             assert qc_is_invertible(a)
+            assert np.array_equal(qc_invert(a).expand(), gf2_inv(a.expand()))
             with pytest.raises(SingularMatrixError):
-                qc_invert(a)
+                elimination_invert(a)
 
     def test_vec_mul_trivial_and_dense(self):
         rng = SeedStream(15, "qc-vec")
