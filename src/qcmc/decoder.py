@@ -10,8 +10,9 @@ incremental: flips update the syndrome, toggled checks the unsatisfied counts.
 Sum-product's first round is closed-form (Gallager): each message is +/-one scalar
 signed by parities, bitwise equal to the general round's as its every step is odd.
 
-Decoders are pure: inputs are never modified, and identical
-(inputs, config) always produce identical outcomes.
+Each algorithm is a generator of rounds that yields the word and its syndrome.  One loop,
+in decode, counts rounds and stops at a zero syndrome, at max_iterations or after a round
+that flips nothing.  Decoders are pure and deterministic: inputs are never modified.
 """
 
 from __future__ import annotations
@@ -144,21 +145,19 @@ def syndrome(h: ParityCheck, v: np.ndarray) -> np.ndarray:
     return _syndrome(_index_for(h), _checked_word(h, v).reshape(h.params.n0, -1)).view(np.uint8)
 
 
-def _decode_bf(index, v: np.ndarray, synd: np.ndarray, b: int | None, cap: int):
-    """Parallel bit flipping: each iteration flips, in place in v, every bit whose
-    unsatisfied-check count reaches b (or, for b None, the largest count)."""
+def _bf_rounds(index, v: np.ndarray, synd: np.ndarray, b: int | None):
+    """Parallel bit flipping, in place in v: each round flips every bit whose unsatisfied-check
+    count reaches b (or, for b None, the largest count) and yields (v, synd), until none does."""
     upc, toggled = np.zeros(v.shape, np.min_scalar_type(index.shape[2])), synd  # 0..d_v fit
-    for iterations in range(1, cap + 1):
+    while True:
         upc = _count_unsatisfied(index, upc, synd, toggled)
         flips = upc >= (max(int(upc.max()), 1) if b is None else b)
         if not flips.any():
-            return False, v, iterations
+            return
         v ^= flips
         toggled = _syndrome(index, flips)
         synd = synd ^ toggled
-        if not synd.any():
-            return True, v, iterations
-    return False, v, cap
+        yield v, synd
 
 
 def _check_update(tnh: np.ndarray) -> np.ndarray:
@@ -186,19 +185,18 @@ def _first_round(index, received: np.ndarray, synd: np.ndarray, half_llr: float)
     return np.where(differs, -m, m)
 
 
-def _decode_spa(index, received: np.ndarray, synd: np.ndarray, p0: float, cap: int):
+def _spa_rounds(index, received: np.ndarray, synd: np.ndarray, p0: float):
     """Log-domain sum-product decoding on a binary symmetric channel with crossover p0,
-    from the received word's syndrome synd; the first round is _first_round's closed form.
-    Edge messages are halved, as tanh and artanh take them; scaling by 2 is exact and
-    |total| is 0 or far above the subnormals, so all sums round as they would unhalved."""
+    from the received word's syndrome synd; each round yields the hard decision and its syndrome.
+    The first round is _first_round's closed form.  Edge messages are halved, as tanh and artanh
+    take them; scaling by 2 is exact and |total| is 0 or far above the subnormals, so all sums
+    round as they would unhalved.  The edges update only when the next round is asked for."""
     llr = math.log((1.0 - p0) / p0)
     channel = llr * (1.0 - 2.0 * received.astype(np.float64))
     edges = _first_round(index, received, synd, 0.5 * llr)
-    for iterations in range(1, cap + 1):
+    while True:
         total = channel + 2.0 * _accumulate(np.add, np.zeros_like(channel), edges, index[1])
-        success = not _syndrome(index, total < 0.0).any()
-        if success or iterations == cap:
-            return success, total < 0.0, iterations
+        yield total < 0.0, _syndrome(index, total < 0.0)
         np.clip(_spread(edges, 0.5 * total, index[0]), -LLR_CLAMP / 2, LLR_CLAMP / 2, out=edges)
         _check_update(np.tanh(edges, out=edges))
 
@@ -217,10 +215,12 @@ def decode(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> DecodeOu
     received = _checked_word(h, received)
     blocks, index = received.reshape(params.n0, params.p), _index_for(h)
     synd = _syndrome(index, blocks)
-    if not synd.any():
-        success, word, iterations = True, blocks, 0
-    elif p0 is None:
-        success, word, iterations = _decode_bf(index, blocks.copy(), synd, b, cfg.max_iterations)
-    else:
-        success, word, iterations = _decode_spa(index, blocks, synd, p0, cfg.max_iterations)
-    return DecodeOutcome(success, word.reshape(-1) ^ received, iterations)
+    rounds = (_bf_rounds(index, blocks.copy(), synd, b) if p0 is None
+              else _spa_rounds(index, blocks, synd, p0))
+    word, iterations = blocks, 0
+    while synd.any() and iterations < cfg.max_iterations:
+        iterations += 1
+        if (step := next(rounds, None)) is None:  # a bit-flipping round that flips nothing
+            break
+        word, synd = step
+    return DecodeOutcome(not synd.any(), word.reshape(-1) ^ received, iterations)

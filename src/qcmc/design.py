@@ -19,6 +19,9 @@ from .gf2 import BitPolynomial, QcMatrix, SparseSupport, is_unit, poly_inverse, 
 from .prng import SeedStream
 
 RESAMPLE_BUDGET = 100
+# Most circulant blocks per row: S and Q are decided and inverted by a memoized Laplace
+# expansion (gf2._minors) of about n0^2 2^n0 ring products.  The paper uses n0 = 2 to 4.
+N0_MAX = 8
 
 
 def pattern_det_gf2(W) -> int:
@@ -58,8 +61,8 @@ def weight_matrix(n0: int, sigma: int) -> tuple[tuple[int, ...], ...]:
     gives a permutation pattern (m = 1).  Raises ParameterError for integer
     even m, which is unrealizable (see pattern_det_gf2).
     """
-    if n0 < 1:
-        raise ParameterError("n0 must be positive")
+    if not 1 <= n0 <= N0_MAX:
+        raise ParameterError(f"n0 must lie in [1, N0_MAX = {N0_MAX}]")
     if sigma < n0:
         raise ParameterError("total weight below n0 cannot give row/column sums >= 1")
     q, r = divmod(sigma, n0)
@@ -111,9 +114,9 @@ class SystemParams:
     t: int
 
     def __post_init__(self):
+        if not 2 <= self.n0 <= N0_MAX:
+            raise ParameterError(f"n0 must lie in [2, N0_MAX = {N0_MAX}]")
         object.__setattr__(self, "W", tuple(tuple(int(x) for x in row) for row in self.W))
-        if self.n0 < 2:
-            raise ParameterError("n0 must be at least 2")
         if self.p < 1:
             raise ParameterError("p must be positive")
         if not 1 <= self.d_v <= self.p:

@@ -38,7 +38,8 @@ Block matrices are inverted by Cramer's rule: over a commutative ring
 adj(A) A = det(A) I, so A^-1 = det^-1 adj(A) exactly when det is a unit.  One
 memoized Laplace expansion, _minors, gives the determinant and every cofactor.
 qc_is_invertible runs it over R_q (p = 2^e q, q odd) and tests the result
-with is_unit; qc_invert runs it over R_p and makes one poly_inverse.  Unlike
+with is_unit; qc_invert runs it over R_p and makes one poly_inverse.  At odd p,
+q = p, and qc_invert reuses the expansion that qc_is_invertible just made.  Unlike
 block Gauss-Jordan elimination, this never rejects an invertible matrix for
 want of a unit pivot.
 
@@ -164,9 +165,6 @@ class BitPolynomial:
         if self.p != other.p:
             raise ParameterError("mismatched moduli")
         return BitPolynomial(self.p, self.bits ^ other.bits)
-
-    def __mul__(self, other: "BitPolynomial") -> "BitPolynomial":
-        return poly_mul(self, other)
 
     def __bool__(self) -> bool:
         return self.bits != 0
@@ -335,12 +333,6 @@ class QcMatrix:
                     self.blocks[i][j].to_dense()
         return out
 
-    def __add__(self, other: "QcMatrix") -> "QcMatrix":
-        return qc_add(self, other)
-
-    def __mul__(self, other: "QcMatrix") -> "QcMatrix":
-        return qc_mul(self, other)
-
 
 def qc_add(a: QcMatrix, b: QcMatrix) -> QcMatrix:
     if (a.rows0, a.cols0, a.p) != (b.rows0, b.cols0, b.p):
@@ -367,9 +359,11 @@ def qc_transpose(a: QcMatrix) -> QcMatrix:
     ))
 
 
+@lru_cache(maxsize=1)
 def _minors(blocks, p: int):
     """minor(rows, cols): memoized determinant over R_p of the blocks on two bitmasks
-    of equal popcount, expanded along the lowest row with zero blocks skipped."""
+    of equal popcount, expanded along the lowest row with zero blocks skipped.  The last
+    matrix's memo is kept: at odd p, qc_invert reuses qc_is_invertible's expansion."""
     @lru_cache(maxsize=None)
     def minor(rows: int, cols: int) -> BitPolynomial:
         if not rows:
@@ -403,7 +397,7 @@ def qc_is_invertible(a: QcMatrix) -> bool:
     if a.rows0 != a.cols0:
         raise ParameterError("only square block matrices have a determinant")
     full, q = (1 << a.rows0) - 1, a.p >> ((a.p & -a.p).bit_length() - 1)
-    return is_unit(_minors([[_fold_odd(b) for b in row] for row in a.blocks], q)(full, full))
+    return is_unit(_minors(tuple(tuple(map(_fold_odd, row)) for row in a.blocks), q)(full, full))
 
 
 def qc_vec_mul(v: np.ndarray, a: QcMatrix) -> np.ndarray:

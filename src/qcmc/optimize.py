@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import TextIO
 
 from .attacks import dca_wf_at, h_enumeration_wf, isda_secure, isda_wf_at
-from .design import SystemParams, realizable_sigma, weight_matrix
+from .design import N0_MAX, SystemParams, realizable_sigma, weight_matrix
 from .errors import ParameterError
 from .threshold import ThresholdQuery, bf_threshold
 
@@ -69,6 +69,8 @@ class OptimizerConfig:
             raise ParameterError("security target must be positive and finite")
         if self.n0 < 2:
             raise ParameterError("need n0 >= 2 circulant blocks")
+        if self.n0 > N0_MAX:
+            raise ParameterError(f"n0 above N0_MAX = {N0_MAX}")
         if not (1 <= self.I < math.inf and 1 <= self.alpha < math.inf):
             raise ParameterError("I and alpha must be finite and at least 1")
         if any(d % 2 == 0 for d in self.d_v_candidates):

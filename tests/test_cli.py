@@ -1,14 +1,19 @@
 """Command-line interface: workflows, determinism, exit codes."""
 
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qcmc
 from qcmc.cli import main
+from qcmc.crypto import KEY_MAGIC, save_ciphertext
+from qcmc.design import N0_MAX, weight_matrix
+from qcmc.gf2 import BitPolynomial
 
 
 @pytest.fixture()
@@ -233,6 +238,16 @@ def test_keygen_accepts_t_prime_below_half_n(workdir, capsys):
 KEYGEN_64 = ["keygen", "--n0", "2", "--p", "64", "--dv", "5", "--t", "2", "--out", "k"]
 
 
+def test_keygen_w_matches_m(workdir):
+    """--W with the flattened pattern that --m 15/4 builds writes the same key files."""
+    common = ["keygen", "--n0", "4", "--p", "64", "--dv", "5", "--t", "2", "--seed", "5eed"]
+    flat = ",".join(str(x) for row in weight_matrix(4, 15) for x in row)
+    assert main(common + ["--W", flat, "--out", "w"]) == 0
+    assert main(common + ["--m", "15/4", "--out", "m"]) == 0
+    for suffix in (".sk", ".pk"):
+        assert (workdir / f"w{suffix}").read_bytes() == (workdir / f"m{suffix}").read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
     ["threshold", "--dv", "abc", "--p-range", "12288"],
     ["wf", "--attack", "dca", "--p", "1024:2048:0", "--dvp", "20"],
@@ -387,3 +402,45 @@ def test_optimize_without_feasible_design(workdir, capsys):
 def test_help_exits_0_without_category(capsys):
     assert main(["keygen", "--help"]) == 0
     assert "error-category" not in capsys.readouterr().err
+
+
+# Runs each argv (a JSON list) through main with the address space capped at 1 GiB and
+# prints one JSON line [exit code, stderr, seconds] per argv.
+CAPPED_MAIN = """
+import contextlib, io, json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from qcmc.cli import main
+for argv in json.loads(sys.argv[1]):
+    err, start = io.StringIO(), time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    print(json.dumps([code, err.getvalue(), time.perf_counter() - start]))
+"""
+
+
+def test_n0_above_max_fails_fast_under_a_memory_cap(tmp_path, child_env):
+    """Block algebra costs about n0^2 2^n0 ring products, so keygen, optimize and a
+    private key with n0 above N0_MAX exit 2 with a ParameterError within a second,
+    before any matrix is built; a capped child process makes a regression fail here."""
+    n0, p = N0_MAX + 1, 64
+    one, zero = BitPolynomial.one(p).to_hex(), BitPolynomial.zero(p).to_hex()
+    identity = [one if i == j else zero for n in (n0 - 1, n0) for i in range(n) for j in range(n)]
+    (tmp_path / "big.sk").write_text("\n".join(
+        [f"{KEY_MAGIC} classic", f"n0={n0} p={p} dv=5 t=2 seed=00",
+         "W=" + ",".join(str(int(i == j)) for i in range(n0) for j in range(n0))]
+        + [BitPolynomial.from_support(p, range(5)).to_hex()] * n0 + identity) + "\n")
+    save_ciphertext(np.zeros(n0 * p, np.uint8), tmp_path / "big.ct")
+    toy = ["--p", str(p), "--dv", "5", "--t", "2", "--m", "1", "--out", "k"]
+    argvs = [["keygen", "--n0", n, *toy] for n in (str(n0), "500", "99999")]
+    argvs += [["optimize", "--security", "100", "--n0", n] for n in (str(n0), "500", "99999")]
+    argvs += [["inspect", "--key", "big.sk"],
+              ["decrypt", "--sk", "big.sk", "--in", "big.ct", "--out", "big.out"]]
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, json.dumps(argvs)],
+                          capture_output=True, text=True, cwd=tmp_path, env=child_env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(argvs)
+    for argv, (code, err, seconds) in zip(argvs, results):
+        assert code == 2 and "error-category: ParameterError" in err, (argv, err)
+        assert seconds < 1.0, (argv, seconds)

@@ -17,8 +17,8 @@ from qcmc.crypto import load_key
 from qcmc.decoder import Algorithm, DecoderConfig
 from qcmc.design import SystemParams, systematic_generator
 from qcmc.errors import DecodingFailure, ParameterError, SingularMatrixError
-from qcmc.gf2 import (BitPolynomial, QcMatrix, poly_inverse, qc_invert, qc_mul, qc_transpose,
-                      qc_vec_mul)
+from qcmc.gf2 import (BitPolynomial, QcMatrix, poly_inverse, qc_invert, qc_is_invertible, qc_mul,
+                      qc_transpose, qc_vec_mul)
 from qcmc.prng import SeedStream
 
 
@@ -126,6 +126,18 @@ class TestKeygen:
                             lambda m: calls.append(m) or qc_invert(m))
         sk, _ = keygen(SystemParams.make(4, 4096, 15, 47, sigma_w=15), 0xC0FFEE, mode)
         assert calls == [sk.Q, sk.S]
+
+    def test_one_expansion_per_draw_at_odd_p(self, monkeypatch):
+        # at odd p, q = p: qc_invert reuses the determinant expansion that accepted
+        # the draw, so there is one _minors miss per draw and one hit per S and Q
+        draws = []
+        monkeypatch.setattr(qcmc.crypto, "qc_is_invertible",
+                            lambda m: draws.append(m) or qc_is_invertible(m))
+        qcmc.gf2._minors.cache_clear()
+        sk, _ = keygen(SystemParams.make(4, 4801, 15, 20, sigma_w=15), 5)
+        info = qcmc.gf2._minors.cache_info()
+        assert draws[-1] == sk.S and len(draws) > 2
+        assert (info.misses, info.hits) == (len(draws), 2)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_keeps_s_that_elimination_rejects(self, monkeypatch, seed):

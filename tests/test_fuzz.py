@@ -2,9 +2,9 @@
 
 Every run must exit 0, 1 or 2, and a non-zero exit must print an
 `error-category:` line on stderr; an exception escaping `main` fails the test.
-The inputs are edited copies of a toy key pair and ciphertext, and small
-option values for the commands that read no input file.  Examples are
-derandomized, so every run tests the same cases.
+The inputs are edited copies of a toy key pair and ciphertext, small option
+values for the commands that read no input file, and short `optimize` and toy-key
+`simulate` runs.  Examples are derandomized, so every run tests the same cases.
 """
 
 import contextlib
@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcmc.cli import main
+from qcmc.design import N0_MAX
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+SHORT = settings(FUZZ, max_examples=60)  # optimize and simulate do real work per example
 
 # n0 = 2, p = 64: k = 64 bits, so the message is 8 bytes
 TOY = ["--n0", "2", "--p", "64", "--dv", "5", "--t", "2", "--m", "3", "--seed", "0aff"]
@@ -114,3 +116,24 @@ def test_small_options(toy, command, n0, p, dv, t, m, mode, design, values, leng
     else:
         flag = "--dvp" if command == "wf-dca" else "--t"
         run(["wf", "--attack", command[3:], "--n0", n0, "--p", lengths, flag, values])
+
+
+@SHORT
+@given(security=st.sampled_from(["1", "20", "60", "100", "0", "nan", "1e6"]),
+       n0=st.one_of(ints(1, N0_MAX + 1), st.sampled_from([500, 99999])).map(str),
+       candidates=st.lists(st.sampled_from([3, 5, 9, 15, 25, 4, -1]), min_size=1,
+                           max_size=2).map(lambda v: ",".join(map(str, v))))
+def test_optimize_options(security, n0, candidates):
+    run(["optimize", "--security", security, "--n0", n0, "--candidates", candidates])
+
+
+@SHORT
+@given(t=st.one_of(ints(0, 12).map(str), ranges(-1, 140)),
+       trials=st.sampled_from(["3", "1", "4", "0", "-1"]),
+       decoder=st.sampled_from(["spa", "bf", "bfv"]),
+       b=st.sampled_from([[], [], ["--b", "3"], ["--b", "5"], ["--b", "6"]]),
+       max_iter=st.sampled_from(["5", "1", "8", "0"]),
+       jobs=st.sampled_from(["1", "0"]))  # above 1 would start worker processes
+def test_simulate_options(toy, t, trials, decoder, b, max_iter, jobs):
+    run(["simulate", "--key", str(toy / "toy.sk"), "--t", t, "--trials", trials,
+         "--decoder", decoder, *b, "--max-iter", max_iter, "--jobs", jobs, "--seed", "07"])
