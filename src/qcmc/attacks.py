@@ -58,8 +58,13 @@ turns up and some s is feasible at all.
 
 Binomials are evaluated in log2 through lgamma, so code lengths in the tens
 of thousands stay exact to float precision.  gammaln is elementwise, so each
-cell keeps its bits: the grid's three p_s columns share one stacked call, the
--inf mask is skipped where no cell is undefined, and log2 C(n, w) is memoized.
+cell keeps its bits: integer arguments read one read-only table of
+gammaln(i + 1.0), grown by doubling up to LGAMMA_TABLE_MAX = 2^18 entries
+(2 MiB), and a - b is exact in int64 as in float64; floats, other dtypes, empty
+arrays and a at or above the cap call gammaln on float64.  The grid's three p_s
+columns share one stacked call, the -inf mask is skipped where no cell is
+undefined, log2 C(n, w) is memoized, and the constant p_s and l terms are
+cached, each computed in the order the cost formula reads.
 
 scipy loads at the first work factor, not with this module: the module-level
 gammaln replaces itself with scipy.special.gammaln on its first call, so every
@@ -91,6 +96,8 @@ ELL_MAX = 60
 LN2 = math.log(2.0)
 PRUNE_MARGIN = 1e-6
 LEAF_SIZE = 8
+LGAMMA_TABLE_MAX = 2**18
+_lgamma_table = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -129,13 +136,23 @@ def gammaln(x):
 
 
 def _log2_comb(a, b):
-    """log2 C(a, b) via lgamma; array-friendly, -inf where undefined."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    """log2 C(a, b) via lgamma (from the table for ints below the cap); -inf where undefined."""
+    global _lgamma_table
+    a, b = np.asarray(a), np.asarray(b)
+    from_table = (a.dtype.kind == b.dtype.kind == "i" and a.size and b.size
+                  and a.max() < LGAMMA_TABLE_MAX)
+    if not from_table:
+        a, b = a.astype(np.float64), b.astype(np.float64)
     ok = (b >= 0) & (b <= a)
     defined = ok.all()
-    safe_b = b if defined else np.where(ok, b, 0.0)
-    val = (gammaln(a + 1.0) - gammaln(safe_b + 1.0) - gammaln(a - safe_b + 1.0)) / LN2
+    if not defined:
+        a, b = np.where(ok, a, 0), np.where(ok, b, 0)
+    if from_table and (top := int(a.max())) >= _lgamma_table.size:
+        size = max(2 * _lgamma_table.size, 1 << top.bit_length())
+        _lgamma_table = gammaln(np.arange(size, dtype=np.float64) + 1.0)
+        _lgamma_table.flags.writeable = False
+    lgamma = _lgamma_table.__getitem__ if from_table else lambda x: gammaln(x + 1.0)
+    val = (lgamma(a) - lgamma(b) - lgamma(a - b)) / LN2
     return np.asarray(val) if defined else np.where(ok, val, -np.inf)
 
 
@@ -160,6 +177,17 @@ def _log2_success(log2_pi_one, n_targets: int):
     return np.minimum(out, 0.0)
 
 
+@lru_cache(maxsize=16)
+def _grid_axes(ps_max: int, ell_max: int) -> tuple[np.ndarray, ...]:
+    """Read-only grid constants: p_s column, l row, 2 p_s, 2.0 l p_s, 2.0 p_s and 2^l."""
+    psg = np.arange(1, ps_max + 1)[:, None]
+    ellg = np.arange(1, ell_max + 1)[None, :]
+    axes = (psg, ellg, 2 * psg, 2.0 * ellg * psg, 2.0 * psg, np.exp2(ellg))
+    for arr in axes:
+        arr.flags.writeable = False
+    return axes
+
+
 def _grid_eval(n: int, k_lo: int, k_hi: int, w: int, ps_max: int, ell_max: int):
     """Cost model over the (p_s, l) grid for dimensions k in [k_lo, k_hi].
 
@@ -170,19 +198,18 @@ def _grid_eval(n: int, k_lo: int, k_hi: int, w: int, ps_max: int, ell_max: int):
     takes the end of the range least favourable to the attacker (see the
     module docstring); with k_lo == k_hi it is the exact model at k.
     """
-    psg = np.arange(1, ps_max + 1)[:, None]
-    ellg = np.arange(1, ell_max + 1)[None, :]
+    psg, ellg, two_ps, search_w, check_w, window = _grid_axes(ps_max, ell_max)
 
-    feasible = (2 * psg <= w) & (psg <= k_hi // 2) & (w - 2 * psg <= n - k_lo - ellg)
+    feasible = (two_ps <= w) & (psg <= k_hi // 2) & (w - two_ps <= n - k_lo - ellg)
     halves = np.array([k_lo - k_lo // 2, k_hi // 2, k_hi - k_hi // 2])[:, None, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         lo_half, hi_floor, hi_ceil = _log2_comb(halves, psg)
-        log2_pi_one = (hi_floor + hi_ceil + _log2_comb(n - k_lo - ellg, w - 2 * psg)
+        log2_pi_one = (hi_floor + hi_ceil + _log2_comb(n - k_lo - ellg, w - two_ps)
                        - _log2_comb_scalar(n, w))
         half_rows = np.exp2(lo_half)
         cost = ((n - k_hi) ** 2 * (n + k_hi) / 2.0
-                + 2.0 * ellg * psg * half_rows
-                + 2.0 * psg * (n - k_hi) * half_rows**2 / np.exp2(ellg))
+                + search_w * half_rows
+                + check_w * (n - k_hi) * half_rows**2 / window)
     return feasible, log2_pi_one, cost, psg, ellg
 
 

@@ -17,11 +17,12 @@ monotonicity of convergence in t, asks at each t whether some b converges
 (trying b upwards, stopping at the first); the reported b, the smallest that
 converges at the largest such t, is kept from that t's probe (ceil(d_v/2) at t = 0).
 
-T sums c_j x^j (1-x)^(d-j) over j = b..d, c_j = float(C(d, j)) memoized per
-(d, b): CPython's int * float rounds the int by float()'s PyLong_AsDouble, and
-the built-in sum() stays (3.12 made it compensated, in both forms), so T keeps
-the bits of math.comb in every term; a C(d, j) past float range (d from about
-1030) raises OverflowError either way.
+T sums c_j x^j (1-x)^(d-j) over j = b..d from float triples (C(d, j), j, d - j)
+memoized per (d, b): CPython's int * float and float ** int convert the int by
+PyLong_AsDouble, so T keeps the bits of math.comb and int powers in every term;
+a C(d, j) past float range (d from about 1030) raises OverflowError either way.
+sum() over a list adds in the same order as over a generator (3.12 made it
+compensated, in both forms), without the generator's frame switches.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ class ThresholdQuery:
 
 
 @lru_cache(maxsize=1024)
-def _binomial_row(d: int, b: int) -> tuple[float, ...]:
-    """C(d, j) for j in [b, d], each rounded to float as int * float would round it."""
-    return tuple(float(math.comb(d, j)) for j in range(b, d + 1))
+def _binomial_row(d: int, b: int) -> tuple[tuple[float, float, float], ...]:
+    """(C(d, j), j, d - j) for j in [b, d], each rounded to float as int * float
+    and float ** int would round it."""
+    return tuple((float(math.comb(d, j)), float(j), float(d - j)) for j in range(b, d + 1))
 
 
 def binomial_tail(d: int, b: int, x: float) -> float:
@@ -66,7 +68,7 @@ def binomial_tail(d: int, b: int, x: float) -> float:
     if b > d:
         return 0.0
     y = 1.0 - x
-    return sum(c * x**j * y ** (d - j) for j, c in enumerate(_binomial_row(d, b), b))
+    return sum([c * x**j * y**k for c, j, k in _binomial_row(d, b)])
 
 
 def evolution_step(d_c: int, d_v: int, b: int, p0: float, q: float) -> float:

@@ -225,6 +225,83 @@ class TestUnmaskedStackedOracle:
                     assert _same_bits(got, ref), args
 
 
+class TestLgammaTableOracle:
+    """_log2_comb reads integer arguments below LGAMMA_TABLE_MAX from one lgamma
+    table and sends everything else through gammaln in float64: both paths give
+    the masked per-term bits."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        real = attacks.gammaln
+
+        def counting(x):
+            calls.append(np.size(x))
+            return real(x)
+
+        attacks._log2_comb(5, 2)  # bind scipy before counting
+        monkeypatch.setattr(attacks, "gammaln", counting)
+        return calls
+
+    def _check(self, a, b, from_table, calls):
+        before = len(calls)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ref = log2_comb_masked(a, b)
+            got = attacks._log2_comb(a, b)
+        assert _same_bits(got, ref), (a, b)
+        if from_table:
+            assert len(calls) - before <= 1, (a, b)  # at most one table build
+        else:
+            assert len(calls) - before == 3, (a, b)  # three gammaln terms
+        return int(np.isneginf(ref).sum())
+
+    def test_int_inputs_bitwise(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        monkeypatch.setattr(attacks, "_lgamma_table", np.empty(0))
+        rng = np.random.RandomState(1963)
+        cases = [(0, 0), (0, 1), (5, 0), (5, 5), (5, 6), (-1, 0), (-3, -1), (-3, 1),
+                 (10, -1), (np.int64(40), np.int32(7)), (np.int16(9), np.int64(12)),
+                 (np.int64(-2), 0), (-10**6, 3), (np.array([-70000, 5]), 2),
+                 (np.array([0, 3, 7]), np.array([[0], [4], [-2]]))]
+        cases += [(rng.randint(-50, 70000, (n, 9)), rng.randint(-20, 600, (n, 1)))
+                  for n in (1, 4, 10)]
+        cases += [(rng.randint(0, 3000, (3, 1, 1)), rng.randint(0, 11, (10, 1))),
+                  (rng.randint(0, 2**17, (10, 60)), rng.randint(0, 2**17, (10, 60)))]
+        undefined = sum(self._check(a, b, True, calls) for a, b in cases)
+        assert undefined >= 100
+        assert attacks._lgamma_table.size <= 2**17
+
+    def test_other_inputs_take_the_float_path(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        cases = [(7.0, 2.0), (np.int64(5), -0.0), (10, 3.0), (np.float32(9), 4),
+                 (np.array([4, 9], dtype=np.uint16), np.array([2, 3], dtype=np.uint16)),
+                 (np.array([True, False]), 0), (10**20, 3), (2**63, 2),
+                 (np.array([], dtype=np.int64), 3), (5, np.array([], dtype=np.int64))]
+        for a, b in cases:
+            self._check(a, b, False, calls)
+
+    def test_cap(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        monkeypatch.setattr(attacks, "_lgamma_table", np.empty(0))
+        cap = attacks.LGAMMA_TABLE_MAX
+        self._check(10**9, 3, False, calls)
+        assert attacks._lgamma_table.size == 0
+        self._check(cap - 1, 700, True, calls)
+        self._check(np.array([[cap - 1], [3]]), np.array([2, 9, cap]), True, calls)
+        assert attacks._lgamma_table.size == cap
+        for a in (cap, cap + 1, np.array([3, cap])):
+            self._check(a, 700, False, calls)
+        self._check(10**9, 3, False, calls)
+        assert attacks._lgamma_table.size == cap
+        assert not attacks._lgamma_table.flags.writeable
+
+    def test_dca_at_ten_million_stays_below_the_cap(self, monkeypatch):
+        monkeypatch.setattr(attacks, "_lgamma_table", np.empty(0))
+        rep = dca_wf_at(4, 10**7, 60)  # qcmc wf --attack dca --p 10000000 --dvp 60
+        assert (round(rep.log2_wf, 2), rep.p_s, rep.ell) == (131.36, 2, 56)
+        assert attacks._lgamma_table.size <= attacks.LGAMMA_TABLE_MAX
+
+
 class TestAttackCurves:
     def test_dca_anchor_100(self):
         rep = dca_wf_at(4, 4096, 59)

@@ -3,10 +3,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import security_targets_by_minimum
-from qcmc import attacks
+from qcmc import attacks, threshold
 from qcmc.attacks import dca_wf_at, isda_wf_at
 from qcmc.errors import ParameterError
 from qcmc.optimize import (OptimizerConfig, complexity_c, m_star, optimize_design,
@@ -144,6 +145,35 @@ class TestOptimizerConfig:
         # ring-invertible, so no key could ever be generated
         with pytest.raises(ParameterError):
             OptimizerConfig(100, d_v_candidates=(14, 15))
+
+
+def test_cold_design_search_reads_lgamma_from_one_table(monkeypatch):
+    # every binomial of the default search is an integer below the table cap,
+    # so a cold search calls gammaln only to build and grow the lgamma table
+    calls = []
+    real = attacks.gammaln
+
+    def counting(x):
+        calls.append(np.size(x))
+        return real(x)
+
+    attacks._log2_comb(5, 2)  # bind scipy before counting
+    monkeypatch.setattr(attacks, "gammaln", counting)
+    monkeypatch.setattr(attacks, "_lgamma_table", np.empty(0))
+    for cache in (attacks._log2_comb_scalar, attacks._grid_axes, attacks._isda_cached,
+                  threshold._threshold_cached):
+        cache.cache_clear()
+    report = optimize_design(OptimizerConfig(100))
+    assert [d.params.d_v for d in report.designs] == [15, 19, 25, 35, 45, 59, 77]
+    assert 1 <= len(calls) <= 4, calls
+    assert attacks._lgamma_table.size <= attacks.LGAMMA_TABLE_MAX
+
+
+def test_import_builds_no_table_or_row(fresh_python):
+    code = ("import qcmc; from qcmc import attacks, threshold; "
+            "print(attacks._lgamma_table.size, attacks._grid_axes.cache_info().currsize, "
+            "threshold._binomial_row.cache_info().currsize)")
+    assert fresh_python(code) == ["0 0 0"]
 
 
 @pytest.fixture(scope="module")
