@@ -4,11 +4,12 @@ All decoders work directly on the circulant supports, never on an expanded
 matrix.  For a block row H = [H_0 | ... | H_{n0-1}] with supports supp_i, check
 s involves variable (i, j) exactly when j = (s + a) mod p for some a in supp_i.
 So each edge class (i, a) is one cyclic rotation of a length-p row, by a from
-variables to checks and by (p - a) mod p back.  Dense passes accumulate those
-rotations in place, in edge order; sparse ones scatter.  Bit flipping is
-incremental: flips update the syndrome, toggled checks the unsatisfied counts.
-Sum-product's first round is closed-form (Gallager): each message is +/-one scalar
-signed by parities, bitwise equal to the general round's as its every step is odd.
+variables to checks and by (p - a) mod p back.  Dense passes accumulate those rotations
+in place, in edge order, reading a row that a block's edges share from one doubled copy;
+sparse ones scatter.  Bit flipping is incremental: flips update the syndrome, toggled
+checks the unsatisfied counts.  Sum-product's first round is closed-form (Gallager): each
+message is +/-one scalar signed by parities, bitwise equal to the general round's as its
+every step is odd.
 
 Each algorithm is a generator of rounds that yields the word and its syndrome.  One loop,
 in decode, counts rounds and stops at a zero syndrome, at max_iterations or after a round
@@ -74,9 +75,16 @@ class DecodeOutcome:
 
 def _accumulate(op, out: np.ndarray, rows: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """out[i] = op(out[i], r_il) for l = 0, 1, ... in turn, where r_il[s] =
-    rows[i, l, (s + shifts[i, l]) % p] is two slices: rows are never doubled."""
+    rows[i, l, (s + shifts[i, l]) % p].  Rows shared along l, one 1-D row or a word's blocks
+    (n0, 1, p), are doubled once and read as one slice a rotation; edge rows as two slices."""
     p = out.shape[-1]
-    rows = np.broadcast_to(rows, shifts.shape + (p,))
+    if rows.ndim < 3 or rows.shape[1] == 1:
+        twice = np.concatenate([rows, rows], axis=-1).reshape(-1, 2 * p)
+        for acc, row, row_shifts in zip(out, np.broadcast_to(twice, (len(out), 2 * p)),
+                                        shifts.tolist()):
+            for a in row_shifts:
+                op(acc, row[a:a + p], out=acc)
+        return out
     for acc, block, row_shifts in zip(out, rows, shifts.tolist()):
         for row, a in zip(block, row_shifts):
             head, tail = acc[:p - a], acc[p - a:]
@@ -85,13 +93,15 @@ def _accumulate(op, out: np.ndarray, rows: np.ndarray, shifts: np.ndarray) -> np
     return out
 
 
-def _spread(edges: np.ndarray, rows: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """edges[i, l, s] = rows[i, (s + shifts[i, l]) % p] - edges[i, l, s], in place."""
+def _spread(edges: np.ndarray, rows: np.ndarray, shifts: np.ndarray, op=np.subtract,
+            right: np.ndarray | None = None) -> np.ndarray:
+    """edges[i, l, s] = op(rows[i, (s + shifts[i, l]) % p], right[s]) in place; right left as
+    None is edges[i, l, s] itself."""
     p = rows.shape[-1]
     doubled = np.concatenate([rows, rows], axis=-1)
     for twice, block, row_shifts in zip(doubled, edges, shifts.tolist()):
         for edge, a in zip(block, row_shifts):
-            np.subtract(twice[a:a + p], edge, out=edge)
+            op(twice[a:a + p], edge if right is None else right, out=edge)
     return edges
 
 
@@ -107,7 +117,8 @@ def _index_for(h: ParityCheck) -> np.ndarray:
 def _syndrome(index, bits: np.ndarray) -> np.ndarray:
     """H v^T as bools from the 0/1 blocks (n0, p) of v, scattered from v's support if sparse."""
     n0, p = bits.shape
-    ones = np.flatnonzero(bits.view(np.bool_))
+    bits = bits.view(np.bool_)  # so the dense pass xors bools without a cast
+    ones = np.flatnonzero(bits)
     if len(ones) * SCATTER_COST < n0 * p:
         blk, pos = np.divmod(ones, p)
         counts = np.bincount((pos[:, None] + index[1][blk]).ravel(), minlength=2 * p)
@@ -179,10 +190,11 @@ def _check_update(tnh: np.ndarray) -> np.ndarray:
 def _first_round(index, received: np.ndarray, synd: np.ndarray, half_llr: float) -> np.ndarray:
     """The first round's halved check-to-variable messages in closed form.  Every input is
     +/-half_llr and each step of _check_update(tanh(.)) is odd bit for bit, so each output
-    is its m for inputs all +half_llr, negated where the received bit and syndrome bit differ."""
+    is its m for inputs all +half_llr, negated where the received bit and syndrome bit differ,
+    written in one pass as the rotated +/-m received row times the +/-1.0 syndrome row, exactly."""
     m = _check_update(np.tanh(np.full(index[0].shape + (1,), half_llr)))[0, 0, 0]
-    differs = _spread(np.tile(synd.view(np.uint8), index[0].shape + (1,)), received, index[0])
-    return np.where(differs, -m, m)
+    return _spread(np.empty(index[0].shape + synd.shape), np.where(received, -m, m), index[0],
+                   np.multiply, np.where(synd, -1.0, 1.0))
 
 
 def _spa_rounds(index, received: np.ndarray, synd: np.ndarray, p0: float):
@@ -196,7 +208,8 @@ def _spa_rounds(index, received: np.ndarray, synd: np.ndarray, p0: float):
     edges = _first_round(index, received, synd, 0.5 * llr)
     while True:
         total = channel + 2.0 * _accumulate(np.add, np.zeros_like(channel), edges, index[1])
-        yield total < 0.0, _syndrome(index, total < 0.0)
+        hard = total < 0.0
+        yield hard, _syndrome(index, hard)
         np.clip(_spread(edges, 0.5 * total, index[0]), -LLR_CLAMP / 2, LLR_CLAMP / 2, out=edges)
         _check_update(np.tanh(edges, out=edges))
 

@@ -287,6 +287,35 @@ class TestRotationKernel:
         assert np.array_equal(_accumulate(np.add, np.zeros((pr.n0, pr.p)), edge_vals, to_var),
                               gather.collect_at_vars(edge_vals))
 
+    def test_shared_rows_one_slice_per_rotation(self, code):
+        """A row shared by a block's edges (one 1-D row, or (n0, 1, p) blocks) costs one op
+        call a rotation and an edge row two, and each output equals np.roll's in edge order."""
+        h, (to_check, _), _ = code
+        n0, d_v, p = h.params.n0, h.params.d_v, h.params.p
+        shifts = to_check.copy()
+        shifts[0, 0], shifts[-1, -1] = 0, p - 1
+        rng = np.random.RandomState(16)
+        for ufunc, dtype in ((np.logical_xor, np.bool_), (np.add, np.uint8), (np.add, np.int64),
+                             (np.add, np.float64)):
+            draw = (lambda *shape: rng.standard_normal(shape) if dtype is np.float64
+                    else rng.randint(0, 2 if dtype is np.bool_ else 256, shape).astype(dtype))
+            for rows, calls in ((draw(p), n0 * d_v), (draw(n0, 1, p), n0 * d_v),
+                                (draw(n0, d_v, p), 2 * n0 * d_v)):
+                start = draw(n0, p)
+                expected = start.copy()
+                full = np.broadcast_to(rows, (n0, d_v, p))
+                for i, l in np.ndindex(n0, d_v):
+                    expected[i] = ufunc(expected[i], np.roll(full[i, l], -shifts[i, l]))
+                counted = Counter()
+
+                def op(*args, **kwargs):
+                    counted["calls"] += 1
+                    return ufunc(*args, **kwargs)
+
+                out = _accumulate(op, start.copy(), rows, shifts)
+                assert counted["calls"] == calls, (ufunc, dtype, rows.shape)
+                assert out.dtype == dtype and np.array_equal(out, expected), (dtype, rows.shape)
+
 
 class BranchLog:
     """Counts which branch _syndrome and _count_unsatisfied take: a call that
