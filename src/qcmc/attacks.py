@@ -63,8 +63,9 @@ gammaln(i + 1.0), grown by doubling up to LGAMMA_TABLE_MAX = 2^18 entries
 (2 MiB), and a - b is exact in int64 as in float64; floats, other dtypes, empty
 arrays and a at or above the cap call gammaln on float64.  The grid's three p_s
 columns share one stacked call, the -inf mask is skipped where no cell is
-undefined, log2 C(n, w) is memoized, and the constant p_s and l terms are
-cached, each computed in the order the cost formula reads.
+undefined, log2 C(n, w) is memoized, and the constant p_s, l and w - 2 p_s terms
+are cached, each computed in the order the cost formula reads.  Callers take
+only the rows with 2 p_s <= w, the others being infeasible (one row at w <= 1).
 
 scipy loads at the first work factor, not with this module: the module-level
 gammaln replaces itself with scipy.special.gammaln on its first call, so every
@@ -140,14 +141,14 @@ def _log2_comb(a, b):
     global _lgamma_table
     a, b = np.asarray(a), np.asarray(b)
     from_table = (a.dtype.kind == b.dtype.kind == "i" and a.size and b.size
-                  and a.max() < LGAMMA_TABLE_MAX)
+                  and (top := max(int(a.max()), 0)) < LGAMMA_TABLE_MAX)  # masked cells read 0
     if not from_table:
         a, b = a.astype(np.float64), b.astype(np.float64)
     ok = (b >= 0) & (b <= a)
     defined = ok.all()
     if not defined:
         a, b = np.where(ok, a, 0), np.where(ok, b, 0)
-    if from_table and (top := int(a.max())) >= _lgamma_table.size:
+    if from_table and top >= _lgamma_table.size:
         size = max(2 * _lgamma_table.size, 1 << top.bit_length())
         _lgamma_table = gammaln(np.arange(size, dtype=np.float64) + 1.0)
         _lgamma_table.flags.writeable = False
@@ -167,25 +168,35 @@ def _log2_success(log2_pi_one, n_targets: int):
     log2_pi_one = np.asarray(log2_pi_one, dtype=np.float64)
     ln_pi = log2_pi_one * LN2
     tiny = ln_pi < -500.0
-    # for tiny pi, 1 - (1 - pi)^T ~ T*pi
-    approx = log2_pi_one + math.log2(n_targets)
+    any_tiny = tiny.any()
     with np.errstate(divide="ignore", invalid="ignore"):
-        pi = np.exp(np.where(tiny, -500.0, ln_pi))
+        pi = np.exp(np.where(tiny, -500.0, ln_pi) if any_tiny else ln_pi)
         pi = np.clip(pi, 0.0, 1.0 - 1e-16)
         exact = np.log2(-np.expm1(n_targets * np.log1p(-pi)))
-    out = np.where(tiny, approx, exact)
+    # for tiny pi, 1 - (1 - pi)^T ~ T*pi
+    out = np.where(tiny, log2_pi_one + math.log2(n_targets), exact) if any_tiny else exact
     return np.minimum(out, 0.0)
 
 
 @lru_cache(maxsize=16)
 def _grid_axes(ps_max: int, ell_max: int) -> tuple[np.ndarray, ...]:
-    """Read-only grid constants: p_s column, l row, 2 p_s, 2.0 l p_s, 2.0 p_s and 2^l."""
+    """Read-only grid constants: p_s column, l row, 2.0 l p_s, 2.0 p_s and 2^l."""
     psg = np.arange(1, ps_max + 1)[:, None]
     ellg = np.arange(1, ell_max + 1)[None, :]
-    axes = (psg, ellg, 2 * psg, 2.0 * ellg * psg, 2.0 * psg, np.exp2(ellg))
+    axes = (psg, ellg, 2.0 * ellg * psg, 2.0 * psg, np.exp2(ellg))
     for arr in axes:
         arr.flags.writeable = False
     return axes
+
+
+@lru_cache(maxsize=256)
+def _weight_column(w: int, ps_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (ps_max, 1) columns 2 p_s <= w and w - 2 p_s."""
+    rest_w = w - 2 * np.arange(1, ps_max + 1)[:, None]
+    cols = (rest_w >= 0, rest_w)
+    for arr in cols:
+        arr.flags.writeable = False
+    return cols
 
 
 def _grid_eval(n: int, k_lo: int, k_hi: int, w: int, ps_max: int, ell_max: int):
@@ -198,13 +209,14 @@ def _grid_eval(n: int, k_lo: int, k_hi: int, w: int, ps_max: int, ell_max: int):
     takes the end of the range least favourable to the attacker (see the
     module docstring); with k_lo == k_hi it is the exact model at k.
     """
-    psg, ellg, two_ps, search_w, check_w, window = _grid_axes(ps_max, ell_max)
+    psg, ellg, search_w, check_w, window = _grid_axes(ps_max, ell_max)
+    (fits, rest_w), rest_n = _weight_column(w, ps_max), n - k_lo - ellg
 
-    feasible = (two_ps <= w) & (psg <= k_hi // 2) & (w - two_ps <= n - k_lo - ellg)
+    feasible = fits & (psg <= k_hi // 2) & (rest_w <= rest_n)
     halves = np.array([k_lo - k_lo // 2, k_hi // 2, k_hi - k_hi // 2])[:, None, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         lo_half, hi_floor, hi_ceil = _log2_comb(halves, psg)
-        log2_pi_one = (hi_floor + hi_ceil + _log2_comb(n - k_lo - ellg, w - two_ps)
+        log2_pi_one = (hi_floor + hi_ceil + _log2_comb(rest_n, rest_w)
                        - _log2_comb_scalar(n, w))
         half_rows = np.exp2(lo_half)
         cost = ((n - k_hi) ** 2 * (n + k_hi) / 2.0
@@ -216,14 +228,13 @@ def _grid_eval(n: int, k_lo: int, k_hi: int, w: int, ps_max: int, ell_max: int):
 def isd_wf(inst: IsdInstance) -> WfReport:
     """Minimum Stern work factor over p_s in [1, PS_MAX], l in [1, ELL_MAX]."""
     feasible, log2_pi_one, cost, psg, ellg = _grid_eval(inst.n, inst.k, inst.k, inst.w,
-                                                        PS_MAX, ELL_MAX)
+                                                        max(1, min(PS_MAX, inst.w // 2)), ELL_MAX)
     with np.errstate(divide="ignore", invalid="ignore"):
         log2_pi = _log2_success(log2_pi_one, inst.n_targets)
         wf = np.where(feasible, np.log2(cost) - log2_pi, np.inf)
-    if not np.isfinite(wf).any():
+    i, j = divmod(int(wf.argmin()), wf.shape[1])
+    if not math.isfinite(wf[i, j]):
         raise ParameterError("no feasible (p_s, l) pair for this instance")
-    flat = int(np.argmin(wf))
-    i, j = np.unravel_index(flat, wf.shape)
     return WfReport(float(wf[i, j]), int(psg[i, 0]), int(ellg[0, j]))
 
 
@@ -257,7 +268,7 @@ def _isda_bound(n: int, k0: int, t: int, s_lo: int, s_hi: int,
     k0 is the public generator's dimension, so s shifts give k = k0 + s.
     """
     feasible, log2_pi_one, cost, _, _ = _grid_eval(n, k0 + s_lo, k0 + s_hi, t,
-                                                   ps_max, ell_max)
+                                                   max(1, min(ps_max, t // 2)), ell_max)
     with np.errstate(divide="ignore", invalid="ignore"):
         log2_pi = np.minimum(log2_pi_one + math.log2(s_hi), 0.0)
         bound = np.where(feasible, np.log2(cost) - log2_pi, np.inf)

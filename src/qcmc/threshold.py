@@ -20,9 +20,22 @@ converges at the largest such t, is kept from that t's probe (ceil(d_v/2) at t =
 T sums c_j x^j (1-x)^(d-j) over j = b..d from float triples (C(d, j), j, d - j)
 memoized per (d, b): CPython's int * float and float ** int convert the int by
 PyLong_AsDouble, so T keeps the bits of math.comb and int powers in every term;
-a C(d, j) past float range (d from about 1030) raises OverflowError either way.
-sum() over a list adds in the same order as over a generator (3.12 made it
-compensated, in both forms), without the generator's frame switches.
+C(1030, 515) is past float range and raises OverflowError either way, so
+ThresholdQuery takes d_v <= 1030.  sum() over a list adds in the same order as
+over a generator (3.12 made it compensated, in both forms), without the
+generator's frame switches.
+
+A probe that cannot converge stops at a certified fixed point.  On [0, 1/2] the
+step f is nondecreasing: r rises with q and both tails with r (Richardson and
+Urbanke, IEEE Trans. IT 2001).  After a step q -> q' whose drop e = q - q' is
+below the last drop e0 (inf at first), one step is tried 1% below the geometric
+limit, at q_c = 0.99 (q' - e^2/(e0 - e)), if 1/n + D <= q_c <= q' <= 1/2.  If
+fl(f(q_c)) >= q_c + D, with D >= 2E and E bounding a step's rounding error, each
+later iterate x in [q_c, 1/2] has fl(f(x)) >= f(q_c) - E >= q_c + D - 2E > 1/n,
+so the plain loop could not converge either.  With u = 2^-53, d = d_v - 1, pow
+within an ulp and |dT/dx| <= d, 1 - r is within (d_c + 5)u/2, a tail within
+d (d_c + 5)u/2 + (2d + 7)u and f within E = (d (d_c + 5)/2 + 2d + 12)u, while
+D = 2u (d + 2)(d_c + 12) also absorbs rounding q_c + D and 2^(d - 1072) of subnormals.
 """
 
 from __future__ import annotations
@@ -50,8 +63,8 @@ class ThresholdQuery:
     def __post_init__(self):
         if self.n0 * self.d_v >= self.n:
             raise ParameterError("check degree n0*d_v must be below n")
-        if self.d_v < 1 or self.n0 < 1:
-            raise ParameterError("n0 and d_v must be positive")
+        if self.n0 < 1 or not 1 <= self.d_v <= 1030:
+            raise ParameterError("need n0 >= 1 and 1 <= d_v <= 1030 (C(1030, 515) overflows a float)")
 
 
 @lru_cache(maxsize=1024)
@@ -81,14 +94,20 @@ def evolution_step(d_c: int, d_v: int, b: int, p0: float, q: float) -> float:
 
 def _converges(n: int, d_c: int, d_v: int, b: int, t: int, max_steps: int) -> bool:
     p0 = t / n
-    q = p0
+    q, last_drop = p0, math.inf
+    margin = (d_v + 1) * (d_c + 12) * 2.0**-52  # D in the module docstring
     for _ in range(max_steps):
         q_next = evolution_step(d_c, d_v, b, p0, q)
         if q_next < 1.0 / n:
             return True
         if q_next >= q:
             return False
-        q = q_next
+        if (drop := q - q_next) < last_drop:
+            q_c = 0.99 * (q_next - drop * drop / (last_drop - drop))
+            if (1.0 / n + margin <= q_c <= q_next <= 0.5
+                    and evolution_step(d_c, d_v, b, p0, q_c) >= q_c + margin):
+                return False
+        q, last_drop = q_next, drop
     return False
 
 

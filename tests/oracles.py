@@ -4,13 +4,13 @@ zero-padded linear FFT and the block product summed one ring product at a
 time, ring inversion by the extended Euclidean algorithm, block matrix
 inversion by Gauss-Jordan elimination, a small executable Stern search, the
 full ISDA shift-count scan, the ISDA branch-and-bound as it was before
-best-bound-first order, the Stern cost grid on a full meshgrid,
-the security targets searched by full ISDA minimization, the decoding
-threshold searched once per decision threshold b and as it was before it kept
-the winning b, the binomial tail, lgamma binomials and Stern cost grid as they
-were before their rows and columns were cached or stacked, Tanner-graph
-gathers through explicit index tables, and the decoders as they were before
-their passes became incremental and in place.
+best-bound-first order, the Stern cost grid on a full meshgrid, the security
+targets searched by full ISDA minimization, the decoding threshold searched
+once per decision threshold b and as it was before it kept the winning b, the
+density evolution run to its end, the binomial tail, lgamma binomials and
+Stern cost grid as they were before their rows and columns were cached or
+stacked, Tanner-graph gathers through explicit index tables, and the decoders
+as they were before their passes became incremental and in place.
 
 Everything here is deliberately separate from the package implementation:
 dense matrices instead of ring arithmetic, schoolbook algorithms instead of
@@ -20,10 +20,11 @@ instead of the adjugate, an exhaustive scan instead of branch-and-bound, the
 lower half first instead of the lower bound first, a final probe instead of a
 kept b, a full meshgrid instead of broadcast one-dimensional terms, a minimum
 instead of a decision against the target, one t search per b instead of one
-for all b, fancy-index gathers instead of circulant rotations, full
-recomputation instead of incremental updates, a binomial per term instead of a
-cached row, a masked lgamma per binomial instead of an unmasked one over
-stacked columns, so agreement is meaningful.
+for all b, every step until a stall instead of a certified fixed point,
+fancy-index gathers instead of circulant rotations, full recomputation instead
+of incremental updates, a binomial per term instead of a cached row, a masked
+lgamma per binomial instead of an unmasked one over stacked columns, so
+agreement is meaningful.
 
 The package's inversion a^-1 = a^(E-1) follows T. Itoh and S. Tsujii, "A fast
 algorithm for computing multiplicative inverses in GF(2^m) using normal
@@ -48,6 +49,7 @@ from qcmc.errors import NotInvertibleError, ParameterError, SingularMatrixError
 from qcmc.gf2 import (FFT_CROSSOVER, BitPolynomial, QcMatrix, _cyclic_shift, bits_to_int,
                       poly_mul)
 from qcmc.optimize import D_V_PRIME_MAX, T_MAX, _smallest_over
+from qcmc import threshold
 from qcmc.threshold import MAX_RECURSION_STEPS, _converges
 
 
@@ -437,6 +439,22 @@ def binomial_tail_per_term(d: int, b: int, x: float) -> float:
     if b > d:
         return 0.0
     return sum(math.comb(d, j) * x**j * (1.0 - x) ** (d - j) for j in range(b, d + 1))
+
+
+def plain_converges(n: int, d_c: int, d_v: int, b: int, t: int, max_steps: int) -> bool:
+    """Whether threshold-b density evolution falls below 1/n, decided as before
+    the certified early exit: step until q falls below 1/n, stops decreasing or
+    runs out of steps.  Steps go through the module-global evolution_step."""
+    p0 = t / n
+    q = p0
+    for _ in range(max_steps):
+        q_next = threshold.evolution_step(d_c, d_v, b, p0, q)
+        if q_next < 1.0 / n:
+            return True
+        if q_next >= q:
+            return False
+        q = q_next
+    return False
 
 
 def t_max_for_b(n: int, d_c: int, d_v: int, b: int, max_steps: int) -> int:

@@ -188,6 +188,36 @@ class TestGridOracle:
         assert compared >= 2000
 
 
+class TestTrimmedRows:
+    """isd_wf and _isda_bound evaluate only the p_s rows with 2 p_s <= w (one at
+    w <= 1) and still give the meshgrid oracles' results over all PS_MAX rows."""
+
+    def test_small_weights_equal_meshgrid(self, monkeypatch):
+        rows, grid_eval = [], attacks._grid_eval
+
+        def recording(n, k_lo, k_hi, w, ps_max, ell_max):
+            rows.append((w, ps_max))
+            return grid_eval(n, k_lo, k_hi, w, ps_max, ell_max)
+
+        monkeypatch.setattr(attacks, "_grid_eval", recording)
+        rng = random.Random(25)
+        for t in range(1, 26):
+            for _ in range(6):
+                n0, p = rng.choice((2, 3, 4)), rng.choice((rng.randint(2, 40), rng.randint(41, 5000)))
+                n, k0 = n0 * p, (n0 - 1) * p
+                s_lo = rng.randint(1, p - 1)
+                s_hi = rng.randint(s_lo, p - 1)
+                if t < n:
+                    inst = IsdInstance(n, k0 + s_lo, t, s_lo)
+                    assert _outcome(isd_wf, inst) == _outcome(meshgrid_isd_wf, inst), inst
+                args = (n, k0, t, s_lo, s_hi, attacks.PS_MAX, attacks.ELL_MAX)
+                assert attacks._isda_bound(*args) == meshgrid_isda_bound(*args), args
+        assert {w for w, _ in rows} == set(range(1, 26))
+        assert all(ps_max == max(1, min(attacks.PS_MAX, w // 2)) for w, ps_max in rows)
+        assert _outcome(isd_wf, IsdInstance(4096, 3072, 1, 1)) == \
+            "no feasible (p_s, l) pair for this instance"
+
+
 def _same_bits(got, ref) -> bool:
     return (type(got) is type(ref) and got.dtype == ref.dtype and got.shape == ref.shape
             and got.tobytes() == ref.tobytes())

@@ -391,6 +391,18 @@ def test_parameter_errors_print_a_category(workdir, capsys, argv):
     assert "error-category: ParameterError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--dv", "1031", "--p-range", "5000"],
+    ["optimize", "--security", "100", "--candidates", "1031"],
+], ids=["threshold", "optimize"])
+def test_d_v_past_float_range_exits_2(workdir, capsys, argv):
+    # C(1030, 515) overflows a float, so the density evolution stops at d_v = 1030
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error-category: ParameterError" in err
+    assert "1030" in err
+
+
 def test_optimize_without_feasible_design(workdir, capsys):
     assert main(["optimize", "--security", "100", "--candidates", "3"]) == 1
     captured = capsys.readouterr()

@@ -105,7 +105,8 @@ def ranges(lo: int, hi: int):
        t=ints(-1, 9).map(str),
        m=st.sampled_from(["1", "3", "2", "3/2", "5/2", "0", "-1"]),
        mode=st.sampled_from(["classic", "systematic"]),
-       design=st.sampled_from(["random", "rdf"]), values=ranges(-1, 20),
+       design=st.sampled_from(["random", "rdf"]),
+       values=st.one_of(ranges(-1, 20), ranges(1029, 1033)),  # d_v past 1030 is rejected
        lengths=ranges(-1, 300))
 def test_small_options(toy, command, n0, p, dv, t, m, mode, design, values, lengths):
     if command == "keygen":
@@ -121,7 +122,7 @@ def test_small_options(toy, command, n0, p, dv, t, m, mode, design, values, leng
 @SHORT
 @given(security=st.sampled_from(["1", "20", "60", "100", "0", "nan", "1e6"]),
        n0=st.one_of(ints(1, N0_MAX + 1), st.sampled_from([500, 99999])).map(str),
-       candidates=st.lists(st.sampled_from([3, 5, 9, 15, 25, 4, -1]), min_size=1,
+       candidates=st.lists(st.sampled_from([3, 5, 9, 15, 25, 4, -1, 1031]), min_size=1,
                            max_size=2).map(lambda v: ",".join(map(str, v))))
 def test_optimize_options(security, n0, candidates):
     run(["optimize", "--security", security, "--n0", n0, "--candidates", candidates])

@@ -1,5 +1,7 @@
 """Complexity metric, security targets, and the density-optimization search."""
 
+import hashlib
+import io
 import math
 from fractions import Fraction
 
@@ -9,9 +11,11 @@ import pytest
 from oracles import security_targets_by_minimum
 from qcmc import attacks, threshold
 from qcmc.attacks import dca_wf_at, isda_wf_at
+from qcmc.cli import main
 from qcmc.errors import ParameterError
 from qcmc.optimize import (OptimizerConfig, complexity_c, m_star, optimize_design,
                            security_targets)
+from qcmc.threshold import threshold_table, write_threshold_csv
 
 
 class TestComplexity:
@@ -172,8 +176,30 @@ def test_cold_design_search_reads_lgamma_from_one_table(monkeypatch):
 def test_import_builds_no_table_or_row(fresh_python):
     code = ("import qcmc; from qcmc import attacks, threshold; "
             "print(attacks._lgamma_table.size, attacks._grid_axes.cache_info().currsize, "
+            "attacks._weight_column.cache_info().currsize, "
             "threshold._binomial_row.cache_info().currsize)")
-    assert fresh_python(code) == ["0 0 0"]
+    assert fresh_python(code) == ["0 0 0 0"]
+
+
+# sha256 of the design search's outputs, recorded before its DE probes stopped
+# at certified fixed points and its Stern grids dropped the rows with 2 p_s > w
+DESIGN_DIGESTS = {
+    "100": "d2da0a1db5d33d2bf5c62345326ce7937c07b5f08aa63d78ca3a678f5a192d07",
+    "128": "72658b5726302df1496de94f09d7aa8ab3299e2bbcc7b088ce4cd9bf68a49241",
+}
+THRESHOLD_DIGEST = "738434a00f1aa1275b729b7bd609ee0e7d0c3dc80b2a931cb80d3f1e81cd7947"
+
+
+def test_design_search_outputs_are_pinned(tmp_path):
+    attacks._isda_cached.cache_clear()
+    threshold._threshold_cached.cache_clear()
+    for security, digest in DESIGN_DIGESTS.items():
+        csv_path = tmp_path / f"designs{security}.csv"
+        assert main(["optimize", "--security", security, "--csv", str(csv_path)]) == 0
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest, security
+    buf = io.StringIO()
+    write_threshold_csv(threshold_table(4, [15, 19, 25, 35, 45, 59, 77], [16384, 20480]), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == THRESHOLD_DIGEST
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,13 @@
 """Decoding-threshold recursion: fixed points, bounds, monotonicity, anchors."""
 
 import io
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from oracles import binomial_tail_per_term, per_b_threshold, reprobing_threshold
+from oracles import binomial_tail_per_term, per_b_threshold, plain_converges, reprobing_threshold
 from qcmc import threshold
 from qcmc.errors import ParameterError
 from qcmc.optimize import DEFAULT_CANDIDATES, DEFAULT_P_GRID
@@ -41,6 +43,10 @@ class TestThreshold:
             ThresholdQuery(100, 4, 30)  # d_c >= n
         with pytest.raises(ParameterError):
             ThresholdQuery(1000, 4, 0)
+        # C(1030, 515) overflows a float, so d_v - 1 stops at 1029
+        with pytest.raises(ParameterError, match="1030"):
+            ThresholdQuery(20000, 4, 1031)
+        ThresholdQuery(20000, 4, 1030)
 
     def test_monotone_in_n(self):
         values = [bf_threshold(ThresholdQuery(n, 4, 13))
@@ -176,6 +182,125 @@ class TestKeptBOracle:
         for n, n0, d_v in DESIGN_100_CODES + ANCHORS + SMALL_CODES + _random_codes():
             assert threshold._threshold_cached.__wrapped__(n, n0, d_v) == \
                 reprobing_threshold(n, n0, d_v), (n, n0, d_v)
+
+
+def _margin(d_c: int, d_v: int) -> float:
+    """D of the threshold module docstring."""
+    return (d_v + 1) * (d_c + 12) * 2.0**-52
+
+
+def _exact_step(d_c: int, d_v: int, b: int, p0: float, q: float) -> Fraction:
+    """evolution_step in exact rational arithmetic on the same float inputs."""
+    d, q, p0 = d_v - 1, Fraction(q), Fraction(p0)
+    r = (1 - (1 - 2 * q) ** (d_c - 1)) / 2
+
+    def tail(x):
+        return sum((math.comb(d, j) * x**j * (1 - x) ** (d - j) for j in range(max(b, 0), d + 1)),
+                   Fraction(0))
+
+    return p0 * (1 - tail(1 - r)) + (1 - p0) * tail(r)
+
+
+def _sampled_probes(rng: random.Random, count: int) -> list[tuple[int, int, int, int, int]]:
+    """(n, d_c, d_v, b, t) around each sampled code's plain per-b boundary, and
+    anywhere in [0, n]: n0 up to 64, d_v up to 1030, n down to d_c + 1, b up to d_v."""
+    probes = []
+    while len(probes) < count:
+        d_v = rng.choice((rng.randint(1, 40), rng.randint(41, 300), rng.randint(1000, 1030)))
+        if d_v > 300 and rng.random() < 0.9:
+            continue  # a step at d_v near 1030 costs about 1000 terms
+        n0 = rng.choice((1, 2, 3, 4, rng.randint(5, 64)))
+        d_c = n0 * d_v
+        n = rng.choice((d_c + rng.randint(1, 10), d_c + rng.randint(11, 2000),
+                        rng.randint(d_c + 1, 70000)))
+        b = rng.choice((rng.randint(math.ceil(d_v / 2), d_v), d_v, rng.randint(1, d_v)))
+        lo, hi = 0, n + 1  # plain_converges at lo, not at hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if plain_converges(n, d_c, d_v, b, mid, 100) else (lo, mid)
+        for t in (rng.randint(max(0, lo - 3), min(n, lo + 3)), rng.randint(lo, min(n, 2 * lo + 2)),
+                  rng.randint(0, n), rng.randint(n // 2, n)):
+            probes.append((n, d_c, d_v, b, t))
+    return probes
+
+
+@pytest.fixture()
+def steps(monkeypatch):
+    """[count] of threshold.evolution_step calls, reset by the test."""
+    step, count = threshold.evolution_step, [0]
+
+    def counting(*args):
+        count[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(threshold, "evolution_step", counting)
+    return count
+
+
+class TestCertifiedExitOracle:
+    """A probe that stops at a certified fixed point decides as the loop that
+    steps until it stalls, in fewer evolution steps."""
+
+    def test_decisions_equal_the_plain_loop(self, steps):
+        shortened = 0
+        for probe in _sampled_probes(random.Random(1963), 6000):
+            counts = []
+            for converges in (threshold._converges, plain_converges):
+                steps[0] = 0
+                counts.append((converges(*probe, 100), steps[0]))
+            assert counts[0][0] == counts[1][0], probe
+            shortened += counts[0][1] < counts[1][1]
+        assert shortened >= 300  # 343 of the 6,000
+
+    def test_same_thresholds_in_fewer_steps(self, monkeypatch, steps):
+        def run(converges, codes):
+            steps[0] = 0
+            with monkeypatch.context() as m:
+                m.setattr(threshold, "_converges", converges)
+                return [threshold._threshold_cached.__wrapped__(*code) for code in codes], steps[0]
+
+        certified, plain = (run(fn, DESIGN_100_CODES) for fn in (threshold._converges, plain_converges))
+        assert certified[0] == plain[0]
+        assert certified[1] <= 0.6 * plain[1]  # 2,661 against 5,171 steps
+        codes = ANCHORS + _random_codes(30, seed=2001)
+        assert run(threshold._converges, codes)[0] == run(plain_converges, codes)[0]
+
+    def test_margin_covers_twice_the_rounding_error(self):
+        # the exact rational step at the same float inputs, on codes small
+        # enough for Fraction arithmetic; odd and even d_c, p0 on both sides of 1/2
+        rng = random.Random(53)
+        worst = 0.0
+        for d_c, d_v in ((3, 3), (8, 4), (9, 3), (26, 13), (30, 15), (45, 15)):
+            for _ in range(16):
+                b = rng.randint(1, d_v)
+                p0 = rng.choice((rng.random(), rng.random() * 1e-2))
+                q = rng.choice((rng.random() / 2, rng.random() * 1e-3, 0.5))
+                err = abs(Fraction(evolution_step(d_c, d_v, b, p0, q))
+                          - _exact_step(d_c, d_v, b, p0, q))
+                assert err <= _margin(d_c, d_v) / 2, (d_c, d_v, b, p0, q)
+                worst = max(worst, float(err) / _margin(d_c, d_v))
+        assert worst > 0.0
+
+    @pytest.mark.parametrize("centre,lift", [(0.3, None), (0.7, 0.25)],
+                             ids=["within-rounding", "above-one-half"])
+    def test_no_certificate_from_rounding_or_above_one_half(self, monkeypatch, centre, lift):
+        # a step map that falls geometrically towards centre, drops to 0 on
+        # [centre, centre + 1e-3], where the iterates land, and lifts q below
+        # centre: by D/2, as rounding may, or anywhere above 1/2, where no
+        # monotonicity is claimed.  Neither lift may stop the probe early.
+        d_c, d_v = 8, 4
+        lift = _margin(d_c, d_v) / 2 if lift is None else lift
+
+        def step(*args):
+            q = args[-1]
+            if q < centre:
+                return q + lift
+            return 0.0 if q <= centre + 1e-3 else centre + 0.5 * (q - centre)
+
+        monkeypatch.setattr(threshold, "evolution_step", step)
+        probe = (1000, d_c, d_v, 2, round(1000 * (centre + 0.1)), 100)
+        assert plain_converges(*probe)
+        assert threshold._converges(*probe)
 
 
 class TestCsv:
