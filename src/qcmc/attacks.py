@@ -66,6 +66,14 @@ columns share one stacked call, the -inf mask is skipped where no cell is
 undefined, log2 C(n, w) is memoized, and the constant p_s, l and w - 2 p_s terms
 are cached, each computed in the order the cost formula reads.  Callers take
 only the rows with 2 p_s <= w, the others being infeasible (one row at w <= 1).
+Four scalar tests prove every cell defined and feasible: 2 ps_max <= w (so
+w - 2 p_s >= 0), ps_max <= min(k_lo - k_lo//2, k_hi//2) (p_s fits every half
+of k), w - 2 <= n - k_lo - ell_max (the largest w - 2 p_s fits the least
+n - k - l) and n < the table size (every a is below n, as k_lo <= k_hi < n).
+Then the grid reads the table with no mask and returns one shared all-true
+feasible grid, for which isd_wf and _isda_bound skip the where; every other
+input takes the masked path above, into the same formulas.  Where no ln pi is
+below -500, the success probability is computed in one buffer.
 
 scipy loads at the first work factor, not with this module: the module-level
 gammaln replaces itself with scipy.special.gammaln on its first call, so every
@@ -79,7 +87,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -153,8 +161,13 @@ def _log2_comb(a, b):
         _lgamma_table = gammaln(np.arange(size, dtype=np.float64) + 1.0)
         _lgamma_table.flags.writeable = False
     lgamma = _lgamma_table.__getitem__ if from_table else lambda x: gammaln(x + 1.0)
-    val = (lgamma(a) - lgamma(b) - lgamma(a - b)) / LN2
+    val = _lgamma_comb(lgamma, a, b)
     return np.asarray(val) if defined else np.where(ok, val, -np.inf)
+
+
+def _lgamma_comb(lgamma, a, b):
+    """log2 C(a, b) from lgamma(x) = ln x!, unmasked."""
+    return (lgamma(a) - lgamma(b) - lgamma(a - b)) / LN2
 
 
 @lru_cache(maxsize=1024)
@@ -167,23 +180,25 @@ def _log2_success(log2_pi_one, n_targets: int):
     """log2(1 - (1 - pi)^T) elementwise, stable for tiny pi."""
     log2_pi_one = np.asarray(log2_pi_one, dtype=np.float64)
     ln_pi = log2_pi_one * LN2
-    tiny = ln_pi < -500.0
-    any_tiny = tiny.any()
+    buf = ln_pi if ln_pi.ndim and ln_pi.min(initial=0.0) >= -500.0 else None  # no tiny pi: in place
+    tiny = buf is None and ln_pi < -500.0
+    any_tiny = buf is None and tiny.any()
     with np.errstate(divide="ignore", invalid="ignore"):
-        pi = np.exp(np.where(tiny, -500.0, ln_pi) if any_tiny else ln_pi)
-        pi = np.clip(pi, 0.0, 1.0 - 1e-16)
-        exact = np.log2(-np.expm1(n_targets * np.log1p(-pi)))
+        pi = np.exp(np.where(tiny, -500.0, ln_pi) if any_tiny else ln_pi, out=buf)
+        pi = np.negative(np.clip(pi, 0.0, 1.0 - 1e-16, out=buf), out=buf)
+        pi = np.multiply(n_targets, np.log1p(pi, out=buf), out=buf)
+        exact = np.log2(np.negative(np.expm1(pi, out=buf), out=buf), out=buf)
     # for tiny pi, 1 - (1 - pi)^T ~ T*pi
     out = np.where(tiny, log2_pi_one + math.log2(n_targets), exact) if any_tiny else exact
-    return np.minimum(out, 0.0)
+    return np.minimum(out, 0.0, out=buf)
 
 
 @lru_cache(maxsize=16)
 def _grid_axes(ps_max: int, ell_max: int) -> tuple[np.ndarray, ...]:
-    """Read-only grid constants: p_s column, l row, 2.0 l p_s, 2.0 p_s and 2^l."""
+    """Read-only grid constants: p_s column, l row, 2.0 l p_s, 2.0 p_s, 2^l and an all-true grid."""
     psg = np.arange(1, ps_max + 1)[:, None]
     ellg = np.arange(1, ell_max + 1)[None, :]
-    axes = (psg, ellg, 2.0 * ellg * psg, 2.0 * psg, np.exp2(ellg))
+    axes = (psg, ellg, 2.0 * ellg * psg, 2.0 * psg, np.exp2(ellg), np.ones((ps_max, ell_max), bool))
     for arr in axes:
         arr.flags.writeable = False
     return axes
@@ -209,15 +224,19 @@ def _grid_eval(n: int, k_lo: int, k_hi: int, w: int, ps_max: int, ell_max: int):
     takes the end of the range least favourable to the attacker (see the
     module docstring); with k_lo == k_hi it is the exact model at k.
     """
-    psg, ellg, search_w, check_w, window = _grid_axes(ps_max, ell_max)
+    psg, ellg, search_w, check_w, window, everywhere = _grid_axes(ps_max, ell_max)
     (fits, rest_w), rest_n = _weight_column(w, ps_max), n - k_lo - ellg
-
-    feasible = fits & (psg <= k_hi // 2) & (rest_w <= rest_n)
     halves = np.array([k_lo - k_lo // 2, k_hi // 2, k_hi - k_hi // 2])[:, None, None]
+    log2_c_nw = _log2_comb_scalar(n, w)  # a miss grows the lgamma table past n
+
+    if (2 * ps_max <= w and ps_max <= min(k_lo - k_lo // 2, k_hi // 2)
+            and w - 2 <= n - k_lo - ell_max and n < _lgamma_table.size):
+        feasible, comb = everywhere, partial(_lgamma_comb, _lgamma_table.__getitem__)
+    else:
+        feasible, comb = fits & (psg <= k_hi // 2) & (rest_w <= rest_n), _log2_comb
     with np.errstate(divide="ignore", invalid="ignore"):
-        lo_half, hi_floor, hi_ceil = _log2_comb(halves, psg)
-        log2_pi_one = (hi_floor + hi_ceil + _log2_comb(rest_n, rest_w)
-                       - _log2_comb_scalar(n, w))
+        lo_half, hi_floor, hi_ceil = comb(halves, psg)
+        log2_pi_one = hi_floor + hi_ceil + comb(rest_n, rest_w) - log2_c_nw
         half_rows = np.exp2(lo_half)
         cost = ((n - k_hi) ** 2 * (n + k_hi) / 2.0
                 + search_w * half_rows
@@ -225,13 +244,17 @@ def _grid_eval(n: int, k_lo: int, k_hi: int, w: int, ps_max: int, ell_max: int):
     return feasible, log2_pi_one, cost, psg, ellg
 
 
+def _where_feasible(feasible, wf):
+    """wf, inf at infeasible cells; the all-true grid of _grid_axes skips the where."""
+    return wf if feasible is _grid_axes(*feasible.shape)[5] else np.where(feasible, wf, np.inf)
+
+
 def isd_wf(inst: IsdInstance) -> WfReport:
     """Minimum Stern work factor over p_s in [1, PS_MAX], l in [1, ELL_MAX]."""
     feasible, log2_pi_one, cost, psg, ellg = _grid_eval(inst.n, inst.k, inst.k, inst.w,
                                                         max(1, min(PS_MAX, inst.w // 2)), ELL_MAX)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log2_pi = _log2_success(log2_pi_one, inst.n_targets)
-        wf = np.where(feasible, np.log2(cost) - log2_pi, np.inf)
+        wf = _where_feasible(feasible, np.log2(cost) - _log2_success(log2_pi_one, inst.n_targets))
     i, j = divmod(int(wf.argmin()), wf.shape[1])
     if not math.isfinite(wf[i, j]):
         raise ParameterError("no feasible (p_s, l) pair for this instance")
@@ -271,8 +294,7 @@ def _isda_bound(n: int, k0: int, t: int, s_lo: int, s_hi: int,
                                                    max(1, min(ps_max, t // 2)), ell_max)
     with np.errstate(divide="ignore", invalid="ignore"):
         log2_pi = np.minimum(log2_pi_one + math.log2(s_hi), 0.0)
-        bound = np.where(feasible, np.log2(cost) - log2_pi, np.inf)
-    return float(bound.min())
+        return float(_where_feasible(feasible, np.log2(cost) - log2_pi).min())
 
 
 def _root_bound(n0: int, p: int, t: int) -> float:

@@ -9,7 +9,8 @@ targets searched by full ISDA minimization, the decoding threshold searched
 once per decision threshold b and as it was before it kept the winning b, the
 density evolution run to its end, the binomial tail, lgamma binomials and
 Stern cost grid as they were before their rows and columns were cached or
-stacked, Tanner-graph gathers through explicit index tables, and the decoders
+stacked, the ISD success probability as it was before it worked in place,
+Tanner-graph gathers through explicit index tables, and the decoders
 as they were before their passes became incremental and in place.
 
 Everything here is deliberately separate from the package implementation:
@@ -23,8 +24,8 @@ instead of a decision against the target, one t search per b instead of one
 for all b, every step until a stall instead of a certified fixed point,
 fancy-index gathers instead of circulant rotations, full recomputation instead
 of incremental updates, a binomial per term instead of a cached row, a masked
-lgamma per binomial instead of an unmasked one over stacked columns, so
-agreement is meaningful.
+lgamma per binomial instead of an unmasked one over stacked columns, a fresh
+array per step instead of one buffer, so agreement is meaningful.
 
 The package's inversion a^-1 = a^(E-1) follows T. Itoh and S. Tsujii, "A fast
 algorithm for computing multiplicative inverses in GF(2^m) using normal
@@ -41,7 +42,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from qcmc.attacks import (ELL_MAX, LEAF_SIZE, LN2, PRUNE_MARGIN, PS_MAX, IsdInstance, WfReport,
-                          _isda_bound, _log2_comb, _log2_success, dca_wf_at, isd_wf, isda_wf_at)
+                          _isda_bound, _log2_comb, dca_wf_at, isd_wf, isda_wf_at)
 from qcmc.decoder import (LLR_CLAMP, Algorithm, DecodeOutcome, DecoderConfig, _check_p0,
                           _checked_word)
 from qcmc.design import ParityCheck
@@ -390,12 +391,26 @@ def meshgrid_eval(n: int, k_lo: int, k_hi: int, w: int, ps_max: int, ell_max: in
     return feasible, log2_pi_one, cost, psg, ellg
 
 
+def log2_success_masked(log2_pi_one, n_targets: int):
+    """log2(1 - (1 - pi)^T) with a fresh array per step, T pi for ln pi below -500."""
+    log2_pi_one = np.asarray(log2_pi_one, dtype=np.float64)
+    ln_pi = log2_pi_one * LN2
+    tiny = ln_pi < -500.0
+    any_tiny = tiny.any()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pi = np.exp(np.where(tiny, -500.0, ln_pi) if any_tiny else ln_pi)
+        pi = np.clip(pi, 0.0, 1.0 - 1e-16)
+        exact = np.log2(-np.expm1(n_targets * np.log1p(-pi)))
+    out = np.where(tiny, log2_pi_one + math.log2(n_targets), exact) if any_tiny else exact
+    return np.minimum(out, 0.0)
+
+
 def meshgrid_isd_wf(inst: IsdInstance) -> WfReport:
     """isd_wf over the full meshgrid of meshgrid_eval."""
     feasible, log2_pi_one, cost, psg, ellg = meshgrid_eval(inst.n, inst.k, inst.k, inst.w,
                                                            PS_MAX, ELL_MAX)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log2_pi = _log2_success(log2_pi_one, inst.n_targets)
+        log2_pi = log2_success_masked(log2_pi_one, inst.n_targets)
         wf = np.where(feasible, np.log2(cost) - log2_pi, np.inf)
     if not np.isfinite(wf).any():
         raise ParameterError("no feasible (p_s, l) pair for this instance")

@@ -6,10 +6,11 @@ import random
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from oracles import (count_weight_w_codewords, grid_eval_per_term, isda_full_scan,
-                     left_first_isda_search, log2_comb_masked, meshgrid_isd_wf,
-                     meshgrid_isda_bound, stern_search_iterations)
+                     left_first_isda_search, log2_comb_masked, log2_success_masked,
+                     meshgrid_isd_wf, meshgrid_isda_bound, stern_search_iterations)
 from qcmc import attacks
 from qcmc.attacks import (IsdInstance, dca_wf_at, dca_table, h_enumeration_wf,
                           isd_success_probability, isd_wf, isda_secure, isda_wf_at, isda_table,
@@ -330,6 +331,77 @@ class TestLgammaTableOracle:
         rep = dca_wf_at(4, 10**7, 60)  # qcmc wf --attack dca --p 10000000 --dvp 60
         assert (round(rep.log2_wf, 2), rep.p_s, rep.ell) == (131.36, 2, 56)
         assert attacks._lgamma_table.size <= attacks.LGAMMA_TABLE_MAX
+
+
+class TestFullyDefinedGrid:
+    """_grid_eval reads the lgamma table unmasked and returns the shared all-true
+    feasible grid exactly when 2 ps_max <= w, ps_max <= min(k_lo - k_lo//2, k_hi//2),
+    w - 2 <= n - k_lo - ell_max and n < _lgamma_table.size.  On each condition and
+    one step past it, the five outputs keep the masked per-term bits, and isd_wf
+    and _isda_bound keep the meshgrid oracles' results."""
+
+    # (n, k_lo, k_hi, w, ps_max, ell_max, lgamma table size, unmasked)
+    CASES = [
+        (97, 19, 20, 20, 10, 60, 98, True),  # every condition holds with equality
+        (97, 19, 20, 19, 10, 60, 98, False),  # 2 ps_max = w + 1
+        (97, 18, 20, 20, 10, 60, 98, False),  # k_lo - k_lo//2 = ps_max - 1
+        (97, 19, 19, 20, 10, 60, 98, False),  # k_hi//2 = ps_max - 1
+        (96, 19, 20, 20, 10, 60, 97, False),  # n - k_lo - ell_max = w - 3
+        (97, 19, 20, 20, 10, 60, 97, False),  # table size = n
+        (97, 19, 20, 20, 10, 60, 0, False),  # empty table
+        (98, 20, 20, 20, 10, 60, 99, True),  # isd_wf's grid at k = 20
+        (97, 20, 20, 20, 10, 60, 98, False),  # and one step past each condition
+        (98, 19, 19, 20, 10, 60, 99, False),
+        (98, 20, 20, 20, 10, 60, 98, False),
+        (9, 2, 2, 2, 1, 7, 10, True),  # one row: p_s = 1 at w = 2
+        (9, 2, 2, 1, 1, 7, 10, False),  # w = 1: no feasible cell
+        (8, 2, 2, 2, 1, 7, 9, False),
+        (16384, 12289, 16000, 47, 10, 60, 16385, True),  # an ISDA interval bound
+        (16384, 16279, 16300, 47, 10, 60, 16385, True),
+        (16384, 16280, 16300, 47, 10, 60, 16385, False),
+        (16384, 12289, 16000, 47, 10, 60, 16384, False),
+    ]
+
+    @pytest.mark.parametrize("n, k_lo, k_hi, w, ps_max, ell_max, size, unmasked", CASES)
+    def test_both_sides_of_each_condition(self, monkeypatch, n, k_lo, k_hi, w, ps_max,
+                                          ell_max, size, unmasked):
+        table = gammaln(np.arange(size) + 1.0)
+        table.flags.writeable = False
+        attacks._log2_comb_scalar(n, w)  # memoized, so the grid below grows no table
+        monkeypatch.setattr(attacks, "_lgamma_table", table)
+        args = (n, k_lo, k_hi, w, ps_max, ell_max)
+        got = attacks._grid_eval(*args)
+        assert (got[0] is attacks._grid_axes(ps_max, ell_max)[5]) == unmasked, args
+        for arr, ref in zip(got, grid_eval_per_term(*args), strict=True):
+            assert _same_bits(arr, ref), args
+
+        monkeypatch.setattr(attacks, "_lgamma_table", table)
+        bound_args = (n, k_lo - 1, w, 1, k_hi - k_lo + 1, ps_max, ell_max)
+        assert attacks._isda_bound(*bound_args) == meshgrid_isda_bound(*bound_args)
+        for targets in (1, 3, k_lo):
+            monkeypatch.setattr(attacks, "_lgamma_table", table)
+            inst = IsdInstance(n, k_lo, w, targets)
+            assert _outcome(isd_wf, inst) == _outcome(meshgrid_isd_wf, inst), inst
+
+    def test_log2_success_in_place_bitwise(self):
+        # ln pi = -500 exactly takes the in-place chain, one ulp below the masked one
+        at = -500.0 / attacks.LN2
+        below = np.nextafter(at, -np.inf)
+        assert at * attacks.LN2 == -500.0 and below * attacks.LN2 == np.nextafter(-500.0, -np.inf)
+        rng = np.random.RandomState(500)
+        grid = np.concatenate([-rng.exponential(60.0, 58), [0.0, 1e-300]])
+        cases = [at, below, -np.inf, 0.0, np.float64(-3.5), np.array(at), np.array(-np.inf),
+                 np.array([], dtype=np.float64), np.array([at, -1.0]), np.array([below, -1.0]),
+                 np.array([-1.0, -np.inf]), np.array([[-2.0, np.nan]]), grid,
+                 np.where(np.arange(60) % 7, grid, -np.inf), np.append(grid, below),
+                 np.linspace(-722.5, below, 50)]  # ln pi in (-501, -500)
+        for log2_pi_one in cases:
+            before = np.array(log2_pi_one, copy=True)
+            for targets in (1, 2, 47, 4095, 2**40):
+                got = attacks._log2_success(log2_pi_one, targets)
+                ref = log2_success_masked(log2_pi_one, targets)
+                assert _same_bits(got, ref), (log2_pi_one, targets)
+            assert np.array_equal(log2_pi_one, before, equal_nan=True)
 
 
 class TestAttackCurves:

@@ -202,6 +202,43 @@ def test_design_search_outputs_are_pinned(tmp_path):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == THRESHOLD_DIGEST
 
 
+# sha256 of two qcmc wf tables, recorded before the Stern grid read the lgamma
+# table unmasked where scalar bounds prove every cell defined and feasible; the
+# ISDA table's t = 2 rows bound intervals that still take the masked path
+WF_DIGESTS = {
+    ("dca", "--p", "1024:16385:1024", "--dvp", "10:121:10"):
+        "c27dc2a8b876e68e624054ab79281cf516e96d6d6c9ff6706f2e282be13e7cff",
+    ("isda", "--p", "1024,4096,7168,16384", "--t", "2:130:8"):
+        "1143225212c6dfee792792ab2c1f4f14570efea3d43bccde8c64b87e2c24945f",
+}
+
+
+def test_wf_tables_are_pinned(tmp_path):
+    attacks._isda_cached.cache_clear()
+    for args, digest in WF_DIGESTS.items():
+        csv_path = tmp_path / f"wf-{args[0]}.csv"
+        assert main(["wf", "--attack", *args, "--out", str(csv_path)]) == 0
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest, args
+
+
+def test_cold_design_search_takes_no_masked_grid(monkeypatch):
+    # scalar bounds prove every cell of every Stern grid in the default search
+    # defined and feasible, so each grid is read from the lgamma table unmasked
+    grids, grid_eval = [], attacks._grid_eval
+
+    def recording(n, k_lo, k_hi, w, ps_max, ell_max):
+        out = grid_eval(n, k_lo, k_hi, w, ps_max, ell_max)
+        grids.append(out[0] is attacks._grid_axes(ps_max, ell_max)[5])
+        return out
+
+    monkeypatch.setattr(attacks, "_grid_eval", recording)
+    monkeypatch.setattr(attacks, "_lgamma_table", np.empty(0))
+    for cache in (attacks._log2_comb_scalar, attacks._isda_cached, threshold._threshold_cached):
+        cache.cache_clear()
+    optimize_design(OptimizerConfig(100))
+    assert (grids.count(False), len(grids)) == (0, 374)
+
+
 @pytest.fixture(scope="module")
 def report100():
     return optimize_design(OptimizerConfig(100))
