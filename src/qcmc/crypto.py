@@ -71,10 +71,6 @@ class PrivateKey:
     seed: bytes
     mode: KeyMode
 
-    @property
-    def q_is_identity(self) -> bool:
-        return self.Q == QcMatrix.identity(self.params.n0, self.params.p)
-
 
 def random_error_vector(n: int, t: int, rng: SeedStream) -> np.ndarray:
     """Uniform weight-t binary vector of length n."""

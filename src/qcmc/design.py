@@ -174,10 +174,6 @@ class SystemParams:
     def d_v_prime(self) -> Fraction:
         return self.m * self.d_v
 
-    @property
-    def d_c_prime(self) -> Fraction:
-        return self.n0 * self.d_v_prime
-
     @classmethod
     def make(cls, n0: int, p: int, d_v: int, t: int, sigma_w: int | None = None,
              W=None) -> "SystemParams":
@@ -237,17 +233,6 @@ def sample_h_random(params: SystemParams, rng: SeedStream) -> ParityCheck:
 def cyclic_differences(p: int, support) -> list[int]:
     """All ordered differences (a - b) mod p, a != b, within one support."""
     return [(a - b) % p for a in support for b in support if a != b]
-
-
-def has_distinct_differences(p: int, supports) -> bool:
-    """True when the pooled cyclic-difference multiset has no repeats."""
-    seen: set[int] = set()
-    for sup in supports:
-        for d in cyclic_differences(p, sup):
-            if d in seen:
-                return False
-            seen.add(d)
-    return True
 
 
 def _grow_difference_block(p: int, d_v: int, pool: set[int],

@@ -111,10 +111,6 @@ class BitPolynomial:
         return cls(p, 1)
 
     @classmethod
-    def monomial(cls, p: int, k: int) -> "BitPolynomial":
-        return cls(p, 1 << (k % p))
-
-    @classmethod
     def from_support(cls, p: int, support) -> "BitPolynomial":
         bits = 0
         for i in support:

@@ -1,22 +1,26 @@
 """Monte Carlo estimation of residual error rates and decoder iteration counts.
 
 Trials place a random weight-t error on the all-zero codeword (valid by code
-linearity and decoder symmetry; a random-codeword mode is kept as a check),
-decode, and count codeword errors (decoder failure or miscorrection), residual
-bit errors, and iterations.  Trials are grouped into fixed-size lots with
-per-lot derived seeds, so results are bit-identical for any worker count and
-lots can run in parallel processes.  Codeword error rates carry a Wilson
-score interval: the rates of interest span several orders of magnitude.
+linearity and decoder symmetry), decode, and record one row per trial: the
+iterations used, whether the decoder converged, and the residual weight.
+Trials are grouped into fixed-size lots with per-lot derived seeds, so results
+are bit-identical for any worker count and lots can run in parallel processes.
+The lots' records are reduced once, in lot order, into a TrialReport: codeword
+errors (decoder failure or miscorrection), residual bit errors and the mean
+iteration count.  Codeword error rates carry a Wilson score interval: the
+rates of interest span several orders of magnitude.
 
-The process pool, and with it multiprocessing, is imported only when a run
-uses more than one job, so a single-job run or a bare `import qcmc` does not
-pay for it.
+A run starts min(jobs, lots, CPUs) worker processes, and none when that
+number is 1.  The process pool, and with it multiprocessing, is imported only
+when a run starts workers, so a single-job run or a bare `import qcmc` does
+not pay for it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -24,12 +28,13 @@ import numpy as np
 
 from .crypto import random_error_vector
 from .decoder import DecoderConfig, decode
-from .design import ParityCheck, systematic_generator
+from .design import ParityCheck
 from .errors import ParameterError
-from .gf2 import int_to_bits, qc_vec_mul
 from .prng import SeedStream, normalize_seed
 
 LOT_SIZE = 64
+TRIAL_RECORD = np.dtype([("iterations", np.int64), ("converged", np.bool_),
+                         ("residual", np.int64)])
 
 
 @dataclass(frozen=True)
@@ -60,34 +65,25 @@ def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
 
 
 def _run_lot(h: ParityCheck, cfg: DecoderConfig, t_err: int, count: int,
-             seed: bytes, lot_index: int, random_codewords: bool) -> tuple[int, int, int]:
-    params = h.params
+             seed: bytes, lot_index: int) -> np.ndarray:
+    """One TRIAL_RECORD row per trial of the lot; the zero codeword plus e is e itself."""
     rng = SeedStream(seed, f"sim/lot{lot_index}")
-    g = systematic_generator(h) if random_codewords else None
-    cw_errors = bit_errors = iters = 0
-    for _ in range(count):
-        e = random_error_vector(params.n, t_err, rng)
-        if g is not None:
-            u = int_to_bits(rng.take_bits(params.k), params.k)
-            codeword = qc_vec_mul(u, g)
-        else:
-            codeword = np.zeros(params.n, dtype=np.uint8)
-        outcome = decode(h, codeword ^ e, cfg)
-        residual = int((outcome.error_estimate != e).sum())
-        if not outcome.success or residual:
-            cw_errors += 1
-            bit_errors += residual
-        iters += outcome.iterations_used
-    return cw_errors, bit_errors, iters
+    record = np.empty(count, dtype=TRIAL_RECORD)
+    for i in range(count):
+        e = random_error_vector(h.params.n, t_err, rng)
+        outcome = decode(h, e, cfg)
+        record[i] = (outcome.iterations_used, outcome.success,
+                     np.count_nonzero(outcome.error_estimate != e))
+    return record
 
 
 def run_trials(h: ParityCheck, cfg: DecoderConfig, t_err: int, trials: int,
-               seed, jobs: int = 1, random_codewords: bool = False) -> TrialReport:
+               seed, jobs: int = 1) -> TrialReport:
     """Decode `trials` random weight-t_err patterns; deterministic given seed.
 
-    jobs > 1 distributes whole lots over worker processes; the lot split is
-    independent of the worker count, so any jobs value reproduces the same
-    report.
+    jobs > 1 distributes whole lots over min(jobs, lots, CPUs) worker
+    processes; the lot split is independent of the worker count, so any jobs
+    value reproduces the same report.
     """
     params = h.params
     if not 0 <= t_err <= params.n:
@@ -98,25 +94,20 @@ def run_trials(h: ParityCheck, cfg: DecoderConfig, t_err: int, trials: int,
         raise ParameterError("need at least one job")
     seed_bytes = normalize_seed(seed)
 
-    lots = []
-    done = 0
-    index = 0
-    while done < trials:
-        count = min(LOT_SIZE, trials - done)
-        lots.append((h, cfg, t_err, count, seed_bytes, index, random_codewords))
-        done += count
-        index += 1
-
-    if jobs > 1 and len(lots) > 1:
+    lots = [(h, cfg, t_err, min(LOT_SIZE, trials - start), seed_bytes, index)
+            for index, start in enumerate(range(0, trials, LOT_SIZE))]
+    workers = min(jobs, len(lots), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_lot, *zip(*lots)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(_run_lot, *zip(*lots)))
     else:
-        results = [_run_lot(*args) for args in lots]
+        records = [_run_lot(*args) for args in lots]
 
-    cw_errors = sum(r[0] for r in results)
-    bit_errors = sum(r[1] for r in results)
-    iters = sum(r[2] for r in results)
+    record = np.concatenate(records)
+    # a nonzero residual is always a codeword error, so the bit errors sum every residual
+    cw_errors = int(np.count_nonzero(~record["converged"] | (record["residual"] > 0)))
+    bit_errors = int(record["residual"].sum())
     lo, hi = wilson_interval(cw_errors, trials)
     return TrialReport(
         trials=trials,
@@ -124,7 +115,7 @@ def run_trials(h: ParityCheck, cfg: DecoderConfig, t_err: int, trials: int,
         bit_errors=bit_errors,
         cer=cw_errors / trials,
         ber=bit_errors / (trials * params.n),
-        avg_iterations=iters / trials,
+        avg_iterations=int(record["iterations"].sum()) / trials,
         seed=seed_bytes,
         ci_low=lo,
         ci_high=hi,

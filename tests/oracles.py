@@ -10,8 +10,10 @@ once per decision threshold b and as it was before it kept the winning b, the
 density evolution run to its end, the binomial tail, lgamma binomials and
 Stern cost grid as they were before their rows and columns were cached or
 stacked, the ISD success probability as it was before it worked in place,
-Tanner-graph gathers through explicit index tables, and the decoders
-as they were before their passes became incremental and in place.
+Tanner-graph gathers through explicit index tables, the decoders
+as they were before their passes became incremental and in place, the
+difference-family property by pooled counting, and Monte Carlo lots on random
+codewords instead of the all-zero word.
 
 Everything here is deliberately separate from the package implementation:
 dense matrices instead of ring arithmetic, schoolbook algorithms instead of
@@ -25,7 +27,9 @@ for all b, every step until a stall instead of a certified fixed point,
 fancy-index gathers instead of circulant rotations, full recomputation instead
 of incremental updates, a binomial per term instead of a cached row, a masked
 lgamma per binomial instead of an unmasked one over stacked columns, a fresh
-array per step instead of one buffer, so agreement is meaningful.
+array per step instead of one buffer, a pooled count instead of an early-exit
+scan, random codewords instead of the all-zero word, so agreement is
+meaningful.
 
 The package's inversion a^-1 = a^(E-1) follows T. Itoh and S. Tsujii, "A fast
 algorithm for computing multiplicative inverses in GF(2^m) using normal
@@ -43,13 +47,16 @@ from scipy.special import gammaln
 
 from qcmc.attacks import (ELL_MAX, LEAF_SIZE, LN2, PRUNE_MARGIN, PS_MAX, IsdInstance, WfReport,
                           _isda_bound, _log2_comb, dca_wf_at, isd_wf, isda_wf_at)
+from qcmc.crypto import random_error_vector
 from qcmc.decoder import (LLR_CLAMP, Algorithm, DecodeOutcome, DecoderConfig, _check_p0,
-                          _checked_word)
-from qcmc.design import ParityCheck
+                          _checked_word, decode)
+from qcmc.design import ParityCheck, systematic_generator
 from qcmc.errors import NotInvertibleError, ParameterError, SingularMatrixError
 from qcmc.gf2 import (FFT_CROSSOVER, BitPolynomial, QcMatrix, _cyclic_shift, bits_to_int,
-                      poly_mul)
+                      int_to_bits, poly_mul, qc_vec_mul)
 from qcmc.optimize import D_V_PRIME_MAX, T_MAX, _smallest_over
+from qcmc.prng import SeedStream
+from qcmc.simulate import TRIAL_RECORD
 from qcmc import threshold
 from qcmc.threshold import MAX_RECURSION_STEPS, _converges
 
@@ -669,3 +676,33 @@ def reference_decode(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -
     if cfg.algorithm is Algorithm.SPA:
         return _ref_decode_spa(h, received, cfg)
     return _ref_decode_bf(h, received, cfg)
+
+
+def has_distinct_differences(p: int, supports) -> bool:
+    """True when the ordered cyclic differences (a - b) mod p, a != b, pooled over
+    all supports, never repeat: the random difference family (RDF) property."""
+    diffs = [(a - b) % p for sup in supports for a in sup for b in sup if a != b]
+    return len(diffs) == len(set(diffs))
+
+
+def random_codeword_lot(h: ParityCheck, cfg: DecoderConfig, t_err: int, count: int,
+                        seed: bytes, lot_index: int) -> np.ndarray:
+    """qcmc.simulate._run_lot on random codewords instead of the all-zero word.
+
+    Each error pattern e is drawn from the lot stream exactly as the package
+    draws it; each codeword's message comes from a separate child stream, so
+    both runners decode the same patterns and their records can be compared
+    trial by trial.
+    """
+    params = h.params
+    rng = SeedStream(seed, f"sim/lot{lot_index}")
+    messages = rng.child("codewords")
+    g = systematic_generator(h)
+    record = np.empty(count, dtype=TRIAL_RECORD)
+    for i in range(count):
+        e = random_error_vector(params.n, t_err, rng)
+        codeword = qc_vec_mul(int_to_bits(messages.take_bits(params.k), params.k), g)
+        outcome = decode(h, codeword ^ e, cfg)
+        record[i] = (outcome.iterations_used, outcome.success,
+                     np.count_nonzero(outcome.error_estimate != e))
+    return record

@@ -171,7 +171,7 @@ class TestKeygen:
     def test_systematic_m1_public_key_is_private_generator(self):
         params = SystemParams.make(2, 64, 5, 2)
         sk, pk = keygen(params, 11, KeyMode.SYSTEMATIC)
-        assert sk.q_is_identity
+        assert sk.Q == QcMatrix.identity(params.n0, params.p)
         assert pk.Gp == systematic_generator(sk.h)
         assert pk.payload_bits == params.k0 * params.p
 
@@ -196,7 +196,7 @@ class TestKeygen:
     def test_systematic_m_gt_1_keeps_q(self):
         params = SystemParams.make(2, 64, 5, 2, sigma_w=6)
         sk, pk = keygen(params, 12, KeyMode.SYSTEMATIC)
-        assert not sk.q_is_identity
+        assert sk.Q != QcMatrix.identity(params.n0, params.p)
         assert pk.payload_bits == params.k0 * params.p
         # left block column must be the identity
         for i in range(params.k0):

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import gf2_matmul
+from oracles import gf2_matmul, has_distinct_differences
 from qcmc.design import (ParityCheck, SystemParams, _is_invertible, cyclic_differences,
-                         has_distinct_differences, pattern_det_gf2,
-                         realizable_sigma, sample_h_random, sample_h_rdf,
+                         pattern_det_gf2, realizable_sigma, sample_h_random, sample_h_rdf,
                          systematic_generator, weight_matrix)
 from qcmc.errors import DesignFailure, NotInvertibleError, ParameterError, SingularMatrixError
 from qcmc.gf2 import BitPolynomial, SparseSupport, poly_inverse, poly_mul, qc_transpose
@@ -21,7 +20,7 @@ class TestSystemParams:
         assert float(params.m) == 3.75
         assert params.t_prime == 150
         assert float(params.d_v_prime) == 48.75
-        assert float(params.d_c_prime) == 195.0
+        assert float(params.n0 * params.d_v_prime) == 195.0
 
     def test_w_validation(self):
         with pytest.raises(ParameterError):

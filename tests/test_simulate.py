@@ -1,14 +1,19 @@
 """Monte Carlo harness: determinism, codeword modes, confidence intervals."""
 
+import concurrent.futures
 import io
+import os
 import signal
 import threading
 
 import numpy as np
 import pytest
 
+from oracles import random_codeword_lot
+from qcmc import simulate
 from qcmc.decoder import Algorithm, DecoderConfig
 from qcmc.errors import ParameterError
+from qcmc.prng import normalize_seed
 from qcmc.simulate import run_trials, sweep_rows, wilson_interval, write_sim_csv
 
 
@@ -53,15 +58,68 @@ class TestRunTrials:
             assert hi_rep.ci_high >= lo_rep.ci_low
         assert reps[-1].cer >= reps[0].cer
 
-    def test_zero_vs_random_codeword_within_3_sigma(self, toy_h):
+    def test_zero_vs_random_codeword_within_3_sigma(self, toy_h, monkeypatch):
         cfg = DecoderConfig(Algorithm.BF_VARIABLE)
         t_err = 14
         n_tr = 400
-        zero = run_trials(toy_h, cfg, t_err, n_tr, 3, random_codewords=False)
-        rand = run_trials(toy_h, cfg, t_err, n_tr, 3, random_codewords=True)
+        zero = run_trials(toy_h, cfg, t_err, n_tr, 3)
+        monkeypatch.setattr(simulate, "_run_lot", random_codeword_lot)
+        rand = run_trials(toy_h, cfg, t_err, n_tr, 3)
         p_pool = (zero.codeword_errors + rand.codeword_errors) / (2 * n_tr)
         sigma = np.sqrt(max(2 * p_pool * (1 - p_pool) / n_tr, 1e-12))
         assert abs(zero.cer - rand.cer) <= max(3 * sigma, 3 / n_tr)
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_records_equal_random_codeword_oracle(self, toy_h, rdf_h, algorithm):
+        # bit flipping reads only the syndrome, and every SPA step is odd in the
+        # received word, so a codeword under e decodes to the same record as e alone
+        cfg, seed = DecoderConfig(algorithm), normalize_seed(17)
+        converged = residual = 0
+        for h, t_err in ((toy_h, 4), (toy_h, 20), (toy_h, 30), (toy_h, 45),
+                         (rdf_h, 10), (rdf_h, 20)):
+            record = simulate._run_lot(h, cfg, t_err, 24, seed, t_err)
+            assert record.dtype == simulate.TRIAL_RECORD
+            assert np.array_equal(record, random_codeword_lot(h, cfg, t_err, 24, seed, t_err))
+            converged += int(record["converged"].sum())
+            residual += int(np.count_nonzero(record["residual"]))
+        assert 0 < converged < 6 * 24 and residual > 0  # both outcomes are compared
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_report_holds_python_scalars(self, toy_h, jobs):
+        rep = run_trials(toy_h, DecoderConfig(Algorithm.BF_VARIABLE), 20, 130, 8, jobs=jobs)
+        assert rep.codeword_errors > 0
+        for name in ("trials", "codeword_errors", "bit_errors"):
+            assert type(getattr(rep, name)) is int, name
+        for name in ("cer", "ber", "avg_iterations"):
+            assert type(getattr(rep, name)) is float, name
+
+    def test_workers_bounded_by_lots_and_cpus(self, toy_h, monkeypatch):
+        cfg = DecoderConfig(Algorithm.BF_VARIABLE)
+        serial = run_trials(toy_h, cfg, 20, 130, 4, jobs=1)
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert run_trials(toy_h, cfg, 20, 130, 4, jobs=10**6) == serial
+        assert started == [3]  # 130 trials make 3 lots
+        assert run_trials(toy_h, cfg, 20, 64, 4, jobs=10**6) \
+            == run_trials(toy_h, cfg, 20, 64, 4, jobs=1)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert run_trials(toy_h, cfg, 20, 130, 4, jobs=8) == serial
+        assert started == [3]  # one lot, or an unknown CPU count, runs serially
 
     def test_validation(self, toy_h, toy_params):
         with pytest.raises(ParameterError):
