@@ -101,12 +101,13 @@ def cmd_keygen(args) -> int:
 
 def cmd_encrypt(args) -> int:
     pk = crypto.load_public_key(args.pk)
-    data = open(args.infile, "rb").read()
     k = pk.params.k
-    if len(data) * 8 != k:
-        raise ParameterError(f"plaintext must be exactly {k} bits ({k // 8} bytes)")
+    with open(args.infile, "rb") as fh:
+        data = fh.read((k + 7) // 8 + 1)  # a byte past the length shows a longer file
     u = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    c = crypto.encrypt(pk, u, SeedStream(args.seed, "encrypt"))
+    if len(data) != (k + 7) // 8 or u[k:].any():
+        raise ParameterError(f"plaintext must be {k} bits: {(k + 7) // 8} bytes, padding bits 0")
+    c = crypto.encrypt(pk, u[:k], SeedStream(args.seed, "encrypt"))
     crypto.save_ciphertext(c, args.out)
     print(f"wrote {args.out} ({c.size} bits, {pk.params.t} intentional errors)")
     return 0

@@ -7,9 +7,9 @@ So each edge class (i, a) is one cyclic rotation of a length-p row, by a from
 variables to checks and by (p - a) mod p back.  Dense passes accumulate those rotations
 in place, in edge order, reading a row that a block's edges share from one doubled copy;
 sparse ones scatter.  Bit flipping is incremental: flips update the syndrome, toggled
-checks the unsatisfied counts.  Sum-product's first round is closed-form (Gallager): each
-message is +/-one scalar signed by parities, bitwise equal to the general round's as its
-every step is odd.
+checks the unsatisfied counts.  Sum-product's first two rounds are closed-form (Gallager):
+round one's messages are +/-one scalar signed by parities and round two's one of two values
+per variable, so tanh never runs on their edges; both are the general rounds' very bits.
 
 Each algorithm is a generator of rounds that yields the word and its syndrome.  One loop,
 in decode, counts rounds and stops at a zero syndrome, at max_iterations or after a round
@@ -172,10 +172,12 @@ def _bf_rounds(index, v: np.ndarray, synd: np.ndarray, b: int | None):
 
 
 def _check_update(tnh: np.ndarray) -> np.ndarray:
-    """Halved check-to-variable LLRs artanh(prod / tnh), clipped, in place of the edge values tnh:
+    """Halved check-to-variable LLRs artanh(prod / tnh) in place of the edge values tnh:
     prod / tnh is the product over a check's other edges.  A factor below 1e-30 divides
     as +/-1e-30; it forces |prod| < 1e-30, so only those columns need that guard.  Every
-    factor has magnitude at most 1 and rounding is monotone, so |ratio| <= 1 needs no clip."""
+    factor has magnitude at most 1 and rounding is monotone, so |ratio| <= 1 needs no clip.
+    The result is clipped to +/-LLR_CLAMP / 2 only at d_c < 3: from d_c - 1 >= 2 factors tanh(x),
+    |x| <= 12.5, |ratio| <= fl(tanh 12.5)^2 (1 + (d_c + 1) 2^-53), so artanh stays below 12.2."""
     p = tnh.shape[-1]
     prod = tnh.reshape(-1, p).prod(axis=0)
     cols = np.flatnonzero(np.abs(prod) < 1e-30)
@@ -183,35 +185,47 @@ def _check_update(tnh: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.divide(prod, tnh, out=tnh)
     ratio[..., cols] = prod[cols] / np.where(np.abs(tiny) < 1e-30, np.copysign(1e-30, tiny), tiny)
-    with np.errstate(divide="ignore"):  # artanh(+/-1) = +/-inf, clipped like any large value
-        return np.clip(np.arctanh(ratio, out=ratio), -LLR_CLAMP / 2, LLR_CLAMP / 2, out=ratio)
+    with np.errstate(divide="ignore"):  # artanh(+/-1) = +/-inf
+        np.arctanh(ratio, out=ratio)
+    return ratio if tnh.size >= 3 * p else np.clip(ratio, -LLR_CLAMP / 2, LLR_CLAMP / 2, out=ratio)
 
 
-def _first_round(index, received: np.ndarray, synd: np.ndarray, half_llr: float) -> np.ndarray:
-    """The first round's halved check-to-variable messages in closed form.  Every input is
-    +/-half_llr and each step of _check_update(tanh(.)) is odd bit for bit, so each output
-    is its m for inputs all +half_llr, negated where the received bit and syndrome bit differ,
-    written in one pass as the rotated +/-m received row times the +/-1.0 syndrome row, exactly."""
-    m = _check_update(np.tanh(np.full(index[0].shape + (1,), half_llr)))[0, 0, 0]
-    return _spread(np.empty(index[0].shape + synd.shape), np.where(received, -m, m), index[0],
-                   np.multiply, np.where(synd, -1.0, 1.0))
+def _spa_totals(index, received: np.ndarray, synd: np.ndarray, p0: float):
+    """Log-domain sum-product decoding on a binary symmetric channel with crossover p0, from
+    the received word's syndrome synd; yields each round's totals (a-posteriori LLRs).  Round
+    one's message on edge (v, s) is rho_v sigma_s m: m the clipped check update of equal inputs,
+    rho_v = -1 at received ones, sigma_s = -1 at unsatisfied checks.  Negation commutes with
+    rounding, so total_v is channel_v + 2 rho_v (in-order sum of v's rotated sigma m row), and
+    round two's message is fl(total_v / 2 - rho_v sigma_s m): clip and tanh run on its two
+    values per v, and each edge picks its own bit for bit.  Messages are halved, as tanh and
+    artanh take them; scaling by 2 is exact and |total| is 0 or far above the subnormals, so all
+    sums round as unhalved.  The edges update only when the next round is asked for."""
+    llr = math.log((1.0 - p0) / p0)
+    channel = llr * (1.0 - 2.0 * received.astype(np.float64))
+    m = np.clip(_check_update(np.tanh(np.full(index[0].shape + (1,), 0.5 * llr)))[0, 0, 0],
+                -LLR_CLAMP / 2, LLR_CLAMP / 2)  # at p0 = 1e-300 the ratio is 1 and artanh inf
+    rho_m = np.where(received, -m, m)
+    sums = _accumulate(np.add, np.zeros(channel.shape), np.where(synd, -m, m), index[1])
+    total = channel + 2.0 * np.where(received, -sums, sums)
+    yield total
+    pair = np.clip(0.5 * total - np.stack([rho_m, -rho_m]), -LLR_CLAMP / 2, LLR_CLAMP / 2)
+    tx, ty = np.tanh(pair, out=pair).view(np.uint64)
+    edges = _spread(np.empty(index[0].shape + synd.shape, np.uint64), tx ^ ty, index[0],
+                    np.bitwise_and, -synd.astype(np.uint64))  # all ones at unsatisfied checks
+    edges = _spread(edges, tx, index[0], np.bitwise_xor).view(np.float64)
+    while True:
+        _check_update(edges)
+        total = channel + 2.0 * _accumulate(np.add, np.zeros_like(channel), edges, index[1])
+        yield total
+        np.clip(_spread(edges, 0.5 * total, index[0]), -LLR_CLAMP / 2, LLR_CLAMP / 2, out=edges)
+        np.tanh(edges, out=edges)
 
 
 def _spa_rounds(index, received: np.ndarray, synd: np.ndarray, p0: float):
-    """Log-domain sum-product decoding on a binary symmetric channel with crossover p0,
-    from the received word's syndrome synd; each round yields the hard decision and its syndrome.
-    The first round is _first_round's closed form.  Edge messages are halved, as tanh and artanh
-    take them; scaling by 2 is exact and |total| is 0 or far above the subnormals, so all sums
-    round as they would unhalved.  The edges update only when the next round is asked for."""
-    llr = math.log((1.0 - p0) / p0)
-    channel = llr * (1.0 - 2.0 * received.astype(np.float64))
-    edges = _first_round(index, received, synd, 0.5 * llr)
-    while True:
-        total = channel + 2.0 * _accumulate(np.add, np.zeros_like(channel), edges, index[1])
+    """Each round's hard decision from _spa_totals, and its syndrome."""
+    for total in _spa_totals(index, received, synd, p0):
         hard = total < 0.0
         yield hard, _syndrome(index, hard)
-        np.clip(_spread(edges, 0.5 * total, index[0]), -LLR_CLAMP / 2, LLR_CLAMP / 2, out=edges)
-        _check_update(np.tanh(edges, out=edges))
 
 
 def decode(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> DecodeOutcome:

@@ -62,6 +62,25 @@ def test_encrypt_rejects_wrong_length(workdir, capsys):
     assert "error-category: ParameterError" in capsys.readouterr().err
 
 
+def test_plaintext_of_k_not_a_multiple_of_8_roundtrips(workdir, capsys):
+    """k = 67: encrypt takes the ceil(k/8) = 9 bytes that decrypt writes, and rejects
+    a file whose padding bits are not 0."""
+    assert main(["keygen", "--n0", "2", "--p", "67", "--dv", "5", "--t", "2",
+                 "--seed", "0a", "--out", "k"]) == 0
+    msg = bytes(range(0x11, 0x99, 0x11)) + b"\x05"  # bits 64 and 66 set, padding clear
+    (workdir / "msg.bin").write_bytes(msg)
+    assert main(["encrypt", "--pk", "k.pk", "--in", "msg.bin", "--seed", "01",
+                 "--out", "msg.ct"]) == 0
+    assert main(["decrypt", "--sk", "k.sk", "--in", "msg.ct", "--out", "msg.out"]) == 0
+    assert (workdir / "msg.out").read_bytes() == msg
+    capsys.readouterr()
+    for padded in (msg[:-1] + b"\x08", msg[:-1] + b"\x85", msg[:-1], msg + bytes(1 << 20)):
+        (workdir / "bad.bin").write_bytes(padded)
+        assert main(["encrypt", "--pk", "k.pk", "--in", "bad.bin", "--seed", "01",
+                     "--out", "bad.ct"]) == 2
+        assert "error-category: ParameterError" in capsys.readouterr().err
+
+
 def test_decrypt_failure_exit_code_and_category(workdir, capsys):
     assert main(KEYGEN) == 0
     (workdir / "msg.bin").write_bytes(bytes(32))

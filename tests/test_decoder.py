@@ -1,9 +1,10 @@
 """Decoder correctness: syndromes, provable BF cases, SPA behavior, purity,
 the rotation kernel against index-table gathers, the scatter/recount crossovers,
-the SPA tiny-tanh guard, SPA's closed-form first round, outcomes equal to the reference
-decoder, pinned outcomes."""
+the SPA tiny-tanh guard and inert artanh clip, SPA's closed-form first two rounds, outcomes
+equal to the reference decoder, pinned outcomes."""
 
 import hashlib
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -14,7 +15,7 @@ import pytest
 from oracles import TannerGather, gf2_matmul, reference_decode
 from qcmc import decoder
 from qcmc.decoder import (LLR_CLAMP, Algorithm, DecoderConfig, _accumulate, _check_update,
-                          _count_unsatisfied, _first_round, _index_for, _spread, decode,
+                          _count_unsatisfied, _index_for, _spa_totals, _spread, decode,
                           syndrome)
 from qcmc.design import SystemParams, sample_h_random, systematic_generator
 from qcmc.errors import ParameterError
@@ -461,49 +462,119 @@ def first_round_p0s(params):
     return [1e-300, 1e-6, params.t / params.n, 0.01, 0.3, 0.45, NEAR_HALF]
 
 
-def general_first_round(index, blocks, llr):
-    """The first round as every later round runs: spread, tanh, check update."""
+def general_first_two_rounds(index, blocks, llr):
+    """Round one's edges and totals, then round two's tanh'ed edges and totals, as every later
+    round runs: spread, tanh, check update (round one's messages clipped, as tanh(llr / 2)
+    can be 1), collect; then spread, clip, tanh, check update, collect."""
     channel = llr * (1.0 - 2.0 * blocks.astype(np.float64))
-    return _check_update(np.tanh(_spread(np.zeros(index[0].shape + blocks.shape[-1:]),
-                                         0.5 * channel, index[0])))
+
+    def collect(edges):
+        return channel + 2.0 * _accumulate(np.add, np.zeros_like(channel), edges, index[1])
+
+    first = np.clip(_check_update(np.tanh(_spread(np.zeros(index[0].shape + blocks.shape[-1:]),
+                                                  0.5 * channel, index[0]))),
+                    -LLR_CLAMP / 2, LLR_CLAMP / 2)
+    total = collect(first)
+    second = np.tanh(np.clip(_spread(first.copy(), 0.5 * total, index[0]),
+                             -LLR_CLAMP / 2, LLR_CLAMP / 2))
+    return first, total, second, collect(_check_update(second.copy()))
 
 
 @pytest.mark.parametrize("code", ["small_h", "mid_h", "qc_h", "mdpc_h"])
-def test_first_round_closed_form_is_bitwise_exact(request, code):
-    """_first_round returns the very bits of the general first round, signed zeros
-    included, for every p0 on the grid and words from weight 1 to all ones."""
+def test_first_round_closed_form_is_bitwise_exact(request, monkeypatch, code):
+    """_spa_totals' round-one totals, round-two edges (what its second check update takes)
+    and round-two totals are the very bits of the general rounds', signed zeros included,
+    for every p0 on the grid and words from weight 1 to all ones."""
     h = request.getfixturevalue(code)
     pr, index = h.params, _index_for(h)
+    taken = []
+
+    def recording(tnh):
+        taken.append(tnh.copy())
+        return _check_update(tnh)
+
+    monkeypatch.setattr(decoder, "_check_update", recording)
     words = [weight_t_error(pr.n, w, w) for w in (1, pr.t, pr.n // 3, pr.n // 2)]
     for e in words + [np.ones(pr.n, np.uint8)]:
         blocks = e.reshape(pr.n0, pr.p)
         synd = decoder._syndrome(index, blocks)
         for p0 in first_round_p0s(pr):
-            llr = math.log((1.0 - p0) / p0)
-            general = general_first_round(index, blocks, llr)
-            closed = _first_round(index, blocks, synd, 0.5 * llr)
-            assert closed.dtype == general.dtype and closed.shape == general.shape
-            assert np.array_equal(closed.view(np.uint64), general.view(np.uint64)), (
-                code, p0, int(e.sum()))
+            general = general_first_two_rounds(index, blocks, math.log((1.0 - p0) / p0))
+            taken.clear()
+            rounds = _spa_totals(index, blocks, synd, p0)
+            closed = next(rounds), next(rounds)
+            assert len(taken) == 2  # m's check update, then round two's
+            for got, want in zip((closed[0], taken[1], closed[1]), general[1:]):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
+                    code, p0, int(e.sum()))
             if p0 == NEAR_HALF and pr.n0 * pr.d_v >= 36:  # the product underflows to +/-0
-                assert not general.any() and np.signbit(general).any()
+                assert not general[0].any() and np.signbit(general[0]).any()
 
 
 def test_tanh_and_artanh_are_odd_and_lane_independent():
-    """What _first_round rests on, on a dense p0 grid: tanh at the halved channel LLRs
-    and at the messages m, and artanh at the clipped check ratios that give m, return
-    exactly negated values for negated inputs, and the same value in any SIMD lane."""
+    """What the closed forms rest on, on a dense p0 grid.  Round one: tanh at the halved
+    channel LLRs and at the messages m, and artanh at the clipped check ratios that give m,
+    return exactly negated values for negated inputs and the same value in any SIMD lane.
+    Round two runs tanh on the (n0, p) arrays of clipped total / 2 -/+ m, the general round
+    on rotated edge rows: tanh there is also the same in any lane (and odd)."""
     p0 = np.concatenate([np.geomspace(1e-300, 0.45, 20000),
                          0.5 - np.geomspace(2.0 ** -54, 0.05, 5000)])
     half_llr = np.array([0.5 * math.log((1.0 - q) / q) for q in p0])
     tnh = np.tanh(half_llr)
-    ratios = np.concatenate([np.clip(np.broadcast_to(tnh, (d_c, tnh.size)).prod(axis=0) / tnh,
-                                     -1.0 + 1e-14, 1.0 - 1e-14) for d_c in (10, 36, 60, 340)])
+    d_vs = (5, 18, 30, 170)  # d_c = 2 d_v
+    ratios = np.concatenate([np.clip(np.broadcast_to(tnh, (2 * d_v, tnh.size)).prod(axis=0) / tnh,
+                                     -1.0 + 1e-14, 1.0 - 1e-14) for d_v in d_vs])
     m = np.clip(np.arctanh(ratios), -LLR_CLAMP / 2, LLR_CLAMP / 2)
-    for f, x in ((np.tanh, np.concatenate([half_llr, m])), (np.arctanh, ratios)):
+    llr, d_v = np.tile(2.0 * half_llr, len(d_vs)), np.repeat(d_vs, half_llr.size)
+    second = [np.clip(0.5 * (sign * llr + 2.0 * k * m) - pm * m, -LLR_CLAMP / 2, LLR_CLAMP / 2)
+              for sign in (1.0, -1.0) for k in (-d_v, -1, 0, 1, d_v) for pm in (1.0, -1.0)]
+    for f, x in ((np.tanh, np.concatenate([half_llr, m, *second])), (np.arctanh, ratios)):
         assert np.array_equal(f(-x).view(np.uint64), (-f(x)).view(np.uint64))
         for shift in range(1, 8):
             assert np.array_equal(f(x[shift:]).view(np.uint64), f(x)[shift:].view(np.uint64))
+
+
+@pytest.mark.parametrize("d_c", [1, 2, 3, 4, 340])
+def test_check_update_clip_is_inert_from_three_checks(d_c):
+    """_check_update equals the clipped reference bit for bit on its worst factors, each
+    +/-fl(tanh 12.5) as a clipped message gives, with exact +/-0 and +/-1e-31 among them.
+    From d_c = 3 no output reaches the clamp, so the clip it skips there would change nothing.
+    At d_c = 1 and 2 factors of +/-1 (round one's at p0 = 1e-300) give a ratio of 1: clipped."""
+    top = np.tanh(LLR_CLAMP / 2)
+    signs = (np.array(list(itertools.product((1.0, -1.0), repeat=d_c))) if d_c <= 4
+             else np.random.RandomState(d_c).choice([-1.0, 1.0], (16, d_c)))
+    cols = [signs * top]
+    for special in (0.0, -0.0, 1e-31, -1e-31):
+        col = signs * top
+        col[:, -1] = special
+        cols.append(col)
+    if d_c < 3:
+        cols.append(signs)
+    tnh = np.concatenate(cols).T.reshape(d_c, 1, -1)
+    out = _check_update(tnh.copy())
+    assert (2.0 * out).tobytes() == reference_check_update(tnh).tobytes()
+    if d_c >= 3:
+        assert np.abs(out).max() < 12.2
+    else:
+        assert np.abs(out).max() == LLR_CLAMP / 2
+
+
+def test_spa_runs_tanh_on_two_values_per_variable_in_round_two(mdpc_h, monkeypatch):
+    """One SPA decode on the MDPC code: tanh runs on n0 d_v values for m, on 2 n0 p for
+    round two and on all n0 d_v p edges in every later round."""
+    sizes, tanh = [], np.tanh
+
+    def recording(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return tanh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "tanh", recording)
+    pr = mdpc_h.params
+    out = decode(mdpc_h, weight_t_error(pr.n, 90, 90),
+                 DecoderConfig(Algorithm.SPA, max_iterations=4, p0=90 / pr.n))
+    assert not out.success and out.iterations_used == 4
+    assert sizes == [pr.n0 * pr.d_v, 2 * pr.n0 * pr.p] + [pr.n0 * pr.d_v * pr.p] * 2
 
 
 def test_artanh_near_one_needs_no_clip():
