@@ -32,8 +32,11 @@ the attacker:
   * in pi_one, C(floor(k/2), p_s) and C(ceil(k/2), p_s) grow with k (use k_hi)
     and C(n-k-l, w-2 p_s) shrinks with k (use k_lo);
   * 1 - (1 - pi)^T <= T pi, with T = s <= s_hi, and the probability is <= 1;
-  * a grid point counts if it is feasible for some k in the interval
-    (p_s <= floor(k_hi/2), w - 2 p_s <= n - k_lo - l).
+  * a grid point is infeasible exactly where a binomial of pi_one is undefined
+    (p_s > floor(k_hi/2), or w - 2 p_s outside [0, n - k_lo - l]): infeasible
+    <=> an undefined binomial <=> log2 pi_one = -inf <=> WF = +inf.  At t < 0
+    or t > n, C(n, t) is undefined too and no s is feasible (at each k,
+    2 p_s <= k and t - 2 p_s <= n - k - l force t < n), so the bound is inf.
 
 The search starts from an initial incumbent, the bar, and an interval is
 pruned only when its bound exceeds min(bar, best work factor found so far)
@@ -70,10 +73,9 @@ Four scalar tests prove every cell defined and feasible: 2 ps_max <= w (so
 w - 2 p_s >= 0), ps_max <= min(k_lo - k_lo//2, k_hi//2) (p_s fits every half
 of k), w - 2 <= n - k_lo - ell_max (the largest w - 2 p_s fits the least
 n - k - l) and n < the table size (every a is below n, as k_lo <= k_hi < n).
-Then the grid reads the table with no mask and returns one shared all-true
-feasible grid, for which isd_wf and _isda_bound skip the where; every other
-input takes the masked path above, into the same formulas.  Where no ln pi is
-below -500, the success probability is computed in one buffer.
+Then the grid reads the table with no mask; every other input takes
+_log2_comb, whose -inf marks each undefined cell, into the same formulas.
+Where no ln pi is below -500, the success probability is computed in one buffer.
 
 scipy loads at the first work factor, not with this module: the module-level
 gammaln replaces itself with scipy.special.gammaln on its first call, so every
@@ -195,45 +197,43 @@ def _log2_success(log2_pi_one, n_targets: int):
 
 @lru_cache(maxsize=16)
 def _grid_axes(ps_max: int, ell_max: int) -> tuple[np.ndarray, ...]:
-    """Read-only grid constants: p_s column, l row, 2.0 l p_s, 2.0 p_s, 2^l and an all-true grid."""
+    """Read-only grid constants: p_s column, l row, 2.0 l p_s, 2.0 p_s and 2^l."""
     psg = np.arange(1, ps_max + 1)[:, None]
     ellg = np.arange(1, ell_max + 1)[None, :]
-    axes = (psg, ellg, 2.0 * ellg * psg, 2.0 * psg, np.exp2(ellg), np.ones((ps_max, ell_max), bool))
+    axes = (psg, ellg, 2.0 * ellg * psg, 2.0 * psg, np.exp2(ellg))
     for arr in axes:
         arr.flags.writeable = False
     return axes
 
 
 @lru_cache(maxsize=256)
-def _weight_column(w: int, ps_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (ps_max, 1) columns 2 p_s <= w and w - 2 p_s."""
+def _weight_column(w: int, ps_max: int) -> np.ndarray:
+    """Read-only (ps_max, 1) column w - 2 p_s."""
     rest_w = w - 2 * np.arange(1, ps_max + 1)[:, None]
-    cols = (rest_w >= 0, rest_w)
-    for arr in cols:
-        arr.flags.writeable = False
-    return cols
+    rest_w.flags.writeable = False
+    return rest_w
 
 
 def _grid_eval(n: int, k_lo: int, k_hi: int, w: int, ps_max: int, ell_max: int):
     """Cost model over the (p_s, l) grid for dimensions k in [k_lo, k_hi].
 
-    Returns (feasible, log2 pi_one, c_iter, p_s column, l row).  Terms in p_s
-    alone are evaluated on the (ps_max, 1) column and terms in l alone on the
-    (1, ell_max) row; only C(n-k-l, w-2 p_s) needs the full grid, and
-    broadcasting gives every cell the value a full grid would.  Each term
-    takes the end of the range least favourable to the attacker (see the
-    module docstring); with k_lo == k_hi it is the exact model at k.
+    Returns four arrays: log2 pi_one, c_iter, the p_s column and the l row.
+    An infeasible cell is one with an undefined binomial, so log2 pi_one is
+    -inf there (for 0 <= w <= n).  Terms in p_s alone are evaluated on the
+    (ps_max, 1) column and terms in l alone on the (1, ell_max) row; only
+    C(n-k-l, w-2 p_s) needs the full grid, and broadcasting gives every cell
+    the value a full grid would.  Each term takes the end of the range least
+    favourable to the attacker (see the module docstring); with k_lo == k_hi
+    it is the exact model at k.
     """
-    psg, ellg, search_w, check_w, window, everywhere = _grid_axes(ps_max, ell_max)
-    (fits, rest_w), rest_n = _weight_column(w, ps_max), n - k_lo - ellg
+    psg, ellg, search_w, check_w, window = _grid_axes(ps_max, ell_max)
+    rest_w, rest_n = _weight_column(w, ps_max), n - k_lo - ellg
     halves = np.array([k_lo - k_lo // 2, k_hi // 2, k_hi - k_hi // 2])[:, None, None]
     log2_c_nw = _log2_comb_scalar(n, w)  # a miss grows the lgamma table past n
 
-    if (2 * ps_max <= w and ps_max <= min(k_lo - k_lo // 2, k_hi // 2)
-            and w - 2 <= n - k_lo - ell_max and n < _lgamma_table.size):
-        feasible, comb = everywhere, partial(_lgamma_comb, _lgamma_table.__getitem__)
-    else:
-        feasible, comb = fits & (psg <= k_hi // 2) & (rest_w <= rest_n), _log2_comb
+    defined = (2 * ps_max <= w and ps_max <= min(k_lo - k_lo // 2, k_hi // 2)
+               and w - 2 <= n - k_lo - ell_max and n < _lgamma_table.size)
+    comb = partial(_lgamma_comb, _lgamma_table.__getitem__) if defined else _log2_comb
     with np.errstate(divide="ignore", invalid="ignore"):
         lo_half, hi_floor, hi_ceil = comb(halves, psg)
         log2_pi_one = hi_floor + hi_ceil + comb(rest_n, rest_w) - log2_c_nw
@@ -241,20 +241,14 @@ def _grid_eval(n: int, k_lo: int, k_hi: int, w: int, ps_max: int, ell_max: int):
         cost = ((n - k_hi) ** 2 * (n + k_hi) / 2.0
                 + search_w * half_rows
                 + check_w * (n - k_hi) * half_rows**2 / window)
-    return feasible, log2_pi_one, cost, psg, ellg
-
-
-def _where_feasible(feasible, wf):
-    """wf, inf at infeasible cells; the all-true grid of _grid_axes skips the where."""
-    return wf if feasible is _grid_axes(*feasible.shape)[5] else np.where(feasible, wf, np.inf)
+    return log2_pi_one, cost, psg, ellg
 
 
 def isd_wf(inst: IsdInstance) -> WfReport:
     """Minimum Stern work factor over p_s in [1, PS_MAX], l in [1, ELL_MAX]."""
-    feasible, log2_pi_one, cost, psg, ellg = _grid_eval(inst.n, inst.k, inst.k, inst.w,
-                                                        max(1, min(PS_MAX, inst.w // 2)), ELL_MAX)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        wf = _where_feasible(feasible, np.log2(cost) - _log2_success(log2_pi_one, inst.n_targets))
+    log2_pi_one, cost, psg, ellg = _grid_eval(inst.n, inst.k, inst.k, inst.w,
+                                              max(1, min(PS_MAX, inst.w // 2)), ELL_MAX)
+    wf = np.log2(cost) - _log2_success(log2_pi_one, inst.n_targets)
     i, j = divmod(int(wf.argmin()), wf.shape[1])
     if not math.isfinite(wf[i, j]):
         raise ParameterError("no feasible (p_s, l) pair for this instance")
@@ -265,8 +259,6 @@ def isd_success_probability(inst: IsdInstance, p_s: int, ell: int) -> float:
     """Per-iteration success probability at fixed (p_s, l), multiplicity included."""
     n, k, w = inst.n, inst.k, inst.w
     k2a, k2b = k // 2, k - k // 2
-    if 2 * p_s > w or p_s > k2a or w - 2 * p_s > n - k - ell:
-        return 0.0
     l2 = float(_log2_comb(k2a, p_s) + _log2_comb(k2b, p_s)
                + _log2_comb(n - k - ell, w - 2 * p_s) - _log2_comb(n, w))
     return float(np.exp2(_log2_success(l2, inst.n_targets)))
@@ -289,12 +281,14 @@ def _isda_bound(n: int, k0: int, t: int, s_lo: int, s_hi: int,
     """Lower bound on the ISDA log2 work factor for every s in [s_lo, s_hi].
 
     k0 is the public generator's dimension, so s shifts give k = k0 + s.
+    At t < 0 or t > n no s is feasible, so the bound is inf without a grid:
+    there log2 C(n, t) = -inf would turn an undefined cell's -inf into NaN.
     """
-    feasible, log2_pi_one, cost, _, _ = _grid_eval(n, k0 + s_lo, k0 + s_hi, t,
-                                                   max(1, min(ps_max, t // 2)), ell_max)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log2_pi = np.minimum(log2_pi_one + math.log2(s_hi), 0.0)
-        return float(_where_feasible(feasible, np.log2(cost) - log2_pi).min())
+    if not 0 <= t <= n:
+        return math.inf
+    log2_pi_one, cost, _, _ = _grid_eval(n, k0 + s_lo, k0 + s_hi, t,
+                                         max(1, min(ps_max, t // 2)), ell_max)
+    return float((np.log2(cost) - np.minimum(log2_pi_one + math.log2(s_hi), 0.0)).min())
 
 
 def _root_bound(n0: int, p: int, t: int) -> float:

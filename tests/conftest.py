@@ -3,11 +3,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 import qcmc
+from qcmc import attacks
 from qcmc.design import SystemParams, sample_h_random, sample_h_rdf
 from qcmc.prng import SeedStream
 
@@ -38,6 +40,24 @@ def rdf_h(rdf_params):
 def mdpc_h():
     """The d_v = 85 MDPC code of the mc-mdpc benchmark workload."""
     return sample_h_random(SystemParams.make(4, 6272, 85, 68), SeedStream(0x8D, "mdpc"))
+
+
+@pytest.fixture
+def array_comb_calls(monkeypatch):
+    """Calls of attacks._log2_comb with an array argument, recorded as they happen.
+
+    A Stern grid that takes the masked path makes two such calls; one read from
+    the lgamma table with no mask makes none.
+    """
+    calls, real = [], attacks._log2_comb
+
+    def counting(a, b):
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            calls.append((np.shape(a), np.shape(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(attacks, "_log2_comb", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

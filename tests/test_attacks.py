@@ -129,6 +129,18 @@ class TestIsdWf:
         model = 1.0 / pi
         assert model / 2 <= empirical <= model * 2
 
+    @pytest.mark.parametrize("w, p_s, ell", [
+        (20, 6, 1),  # p_s > k//2 = 5
+        (8, 5, 1),  # 2 p_s > w
+        (8, 1, 25),  # w - 2 p_s > n - k - l
+        (8, -1, 1),  # p_s < 0
+    ])
+    def test_success_probability_is_zero_at_an_infeasible_split(self, w, p_s, ell):
+        # each case breaks one condition only: an undefined binomial gives 0.0
+        inst = IsdInstance(40, 10, w, 3)
+        assert isd_success_probability(inst, p_s, ell) == 0.0
+        assert isd_success_probability(inst, 1, 1) > 0.0
+
 
 def _wf_single(inst, ps, ell):
     pi = isd_success_probability(inst, ps, ell)
@@ -251,9 +263,29 @@ class TestUnmaskedStackedOracle:
         for n, k, w, _ in _kernel_cases():
             for k_lo, k_hi in ((k, k), (k, k + rng.randint(0, max(0, n - k - 1)))):
                 args = (n, k_lo, k_hi, w, attacks.PS_MAX, attacks.ELL_MAX)
-                for got, ref in zip(attacks._grid_eval(*args), grid_eval_per_term(*args),
-                                    strict=True):
-                    assert _same_bits(got, ref), args
+                got, (feasible, *ref) = attacks._grid_eval(*args), grid_eval_per_term(*args)
+                for arr, r in zip(got, ref, strict=True):
+                    assert _same_bits(arr, r), args
+                assert np.array_equal(np.isneginf(got[0]), ~feasible), args
+
+    def test_log2_pi_one_is_neginf_exactly_at_infeasible_cells(self):
+        # the grid keeps no feasibility mask: for 0 <= w <= n a cell is
+        # infeasible exactly where one of its binomials is undefined, which
+        # makes log2 pi_one -inf there and nowhere else, with a finite cost
+        rng = random.Random(29)
+        infeasible = 0
+        for i, (n, k, w, _) in enumerate(_kernel_cases()):
+            w, k = (n if i % 8 == 7 else w), min(k, n - 1)  # every caller has k_hi < n
+            k_lo, k_hi = rng.randint(1, k), rng.randint(k, n - 1)
+            for ps_max in (attacks.PS_MAX, max(1, min(attacks.PS_MAX, w // 2))):
+                args = (n, k_lo, k_hi, w, ps_max, attacks.ELL_MAX)
+                log2_pi_one, cost, _, _ = attacks._grid_eval(*args)
+                feasible = grid_eval_per_term(*args)[0]
+                assert not np.isnan(log2_pi_one).any(), args
+                assert np.array_equal(np.isneginf(log2_pi_one), ~feasible), args
+                assert np.isfinite(cost).all() and (cost > 0).all(), args
+                infeasible += int((~feasible).sum())
+        assert infeasible >= 100_000
 
 
 class TestLgammaTableOracle:
@@ -334,11 +366,12 @@ class TestLgammaTableOracle:
 
 
 class TestFullyDefinedGrid:
-    """_grid_eval reads the lgamma table unmasked and returns the shared all-true
-    feasible grid exactly when 2 ps_max <= w, ps_max <= min(k_lo - k_lo//2, k_hi//2),
+    """_grid_eval reads the lgamma table unmasked, with no masked _log2_comb call,
+    exactly when 2 ps_max <= w, ps_max <= min(k_lo - k_lo//2, k_hi//2),
     w - 2 <= n - k_lo - ell_max and n < _lgamma_table.size.  On each condition and
-    one step past it, the five outputs keep the masked per-term bits, and isd_wf
-    and _isda_bound keep the meshgrid oracles' results."""
+    one step past it, the four outputs keep the masked per-term bits, log2 pi_one
+    is -inf exactly at the oracle's infeasible cells, and isd_wf and _isda_bound
+    keep the meshgrid oracles' results."""
 
     # (n, k_lo, k_hi, w, ps_max, ell_max, lgamma table size, unmasked)
     CASES = [
@@ -363,17 +396,19 @@ class TestFullyDefinedGrid:
     ]
 
     @pytest.mark.parametrize("n, k_lo, k_hi, w, ps_max, ell_max, size, unmasked", CASES)
-    def test_both_sides_of_each_condition(self, monkeypatch, n, k_lo, k_hi, w, ps_max,
-                                          ell_max, size, unmasked):
+    def test_both_sides_of_each_condition(self, monkeypatch, array_comb_calls, n, k_lo, k_hi,
+                                          w, ps_max, ell_max, size, unmasked):
         table = gammaln(np.arange(size) + 1.0)
         table.flags.writeable = False
         attacks._log2_comb_scalar(n, w)  # memoized, so the grid below grows no table
         monkeypatch.setattr(attacks, "_lgamma_table", table)
         args = (n, k_lo, k_hi, w, ps_max, ell_max)
         got = attacks._grid_eval(*args)
-        assert (got[0] is attacks._grid_axes(ps_max, ell_max)[5]) == unmasked, args
-        for arr, ref in zip(got, grid_eval_per_term(*args), strict=True):
-            assert _same_bits(arr, ref), args
+        assert len(array_comb_calls) == (0 if unmasked else 2), args
+        feasible, *ref = grid_eval_per_term(*args)
+        for arr, r in zip(got, ref, strict=True):
+            assert _same_bits(arr, r), args
+        assert np.array_equal(np.isneginf(got[0]), ~feasible), args
 
         monkeypatch.setattr(attacks, "_lgamma_table", table)
         bound_args = (n, k_lo - 1, w, 1, k_hi - k_lo + 1, ps_max, ell_max)
@@ -586,6 +621,33 @@ class TestIsdaSearch:
             isda_secure(n0, 1024, 30, 100)
         with pytest.raises(ParameterError):
             dca_wf_at(n0, 1024, 20)
+
+
+class TestWeightOutsideTheCode:
+    """At t < 0 or t > n no shift count is feasible, and _isda_bound is inf with
+    no grid.  A grid there would give log2 pi_one = -inf - (-inf) = NaN, and a
+    NaN bound neither equals inf nor exceeds the incumbent, so it never prunes."""
+
+    @pytest.mark.parametrize("n0", [2, 3, 4])
+    def test_isda_bound_is_inf(self, n0):
+        for p in range(2, 9):
+            n, k0 = n0 * p, (n0 - 1) * p
+            for t in (-3, -1, n + 1, 2 * n):
+                for s_lo in range(1, p):
+                    for s_hi in range(s_lo, p):
+                        args = (n, k0, t, s_lo, s_hi, attacks.PS_MAX, attacks.ELL_MAX)
+                        assert attacks._isda_bound(*args) == math.inf, args
+                        # the oracle's mask takes p_s <= floor(k_hi/2) and
+                        # t - 2 p_s <= n - k_lo - l, so at t = n + 1 a wide
+                        # interval can pass it with log2 pi_one = +inf
+                        if t != n + 1 or s_lo == s_hi:
+                            assert meshgrid_isda_bound(*args) == math.inf, args
+                assert not isda_secure(n0, p, t, 50), (p, t)
+
+    @pytest.mark.parametrize("n0,p,t", [(2, 3, 9), (2, 5, -1)])
+    def test_isda_wf_at_raises(self, n0, p, t):
+        with pytest.raises(ParameterError, match="^no feasible shift count for this instance$"):
+            isda_wf_at(n0, p, t)
 
 
 def _last(search):

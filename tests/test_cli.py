@@ -354,7 +354,9 @@ def test_wf_isda_rejects_single_block(workdir, capsys):
      ["p=97", "t=120"]),
     (["--attack", "dca", "--n0", "2", "--p", "97,4801", "--dvp", "20,100"],
      ["p=97", "d_v_prime=100"]),
-], ids=["isda", "dca"])
+    (["--attack", "isda", "--n0", "2", "--p", "3", "--t", "9"],
+     ["p=3", "t=9", "no feasible shift count for this instance"]),
+], ids=["isda", "dca", "isda-t-above-n"])
 def test_wf_names_the_failing_point(workdir, capsys, argv, point):
     assert main(["wf", *argv]) == 2
     captured = capsys.readouterr()

@@ -221,14 +221,16 @@ def test_wf_tables_are_pinned(tmp_path):
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest, args
 
 
-def test_cold_design_search_takes_no_masked_grid(monkeypatch):
+def test_cold_design_search_takes_no_masked_grid(monkeypatch, array_comb_calls):
     # scalar bounds prove every cell of every Stern grid in the default search
-    # defined and feasible, so each grid is read from the lgamma table unmasked
+    # defined and feasible, so each grid is read from the lgamma table unmasked,
+    # with none of the two masked _log2_comb calls
     grids, grid_eval = [], attacks._grid_eval
 
     def recording(n, k_lo, k_hi, w, ps_max, ell_max):
+        before = len(array_comb_calls)
         out = grid_eval(n, k_lo, k_hi, w, ps_max, ell_max)
-        grids.append(out[0] is attacks._grid_axes(ps_max, ell_max)[5])
+        grids.append(len(array_comb_calls) == before)
         return out
 
     monkeypatch.setattr(attacks, "_grid_eval", recording)
