@@ -8,10 +8,8 @@ shrinks as the parity-check matrix gets denser: the sparse families correct
 far more errors, which is the engine behind the density optimization.
 """
 
-import sys
-
 from qcmc import ThresholdQuery, bf_threshold_detail
-from qcmc.threshold import threshold_table, write_threshold_csv
+from qcmc.cli import main
 
 n0 = 4
 lengths = [16384, 20480, 24576, 28672]
@@ -36,4 +34,4 @@ for n, d_v, quoted in [(16384, 13, 181), (16384, 15, 187), (28672, 15, 327),
 
 print()
 print("CSV of the grid (same data the `qcmc threshold` command emits):")
-write_threshold_csv(threshold_table(n0, [13, 15], [16384, 28672]), sys.stdout)
+main(["threshold", "--n0", str(n0), "--dv", "13,15", "--p-range", "16384,28672"])

@@ -86,11 +86,10 @@ load scipy; wf and optimize load it at their first work factor.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -415,11 +414,3 @@ def isda_table(n0: int, p_values: Sequence[int], t_values: Sequence[int]) -> lis
             rows.append({"p": p, "t": t, "log2_wf": round(rep.log2_wf, 2),
                          "p_s": rep.p_s, "ell": rep.ell, "s": rep.s})
     return rows
-
-
-def write_wf_csv(rows: Iterable[dict], out: TextIO) -> None:
-    rows = list(rows)
-    writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)

@@ -11,23 +11,24 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import sys
 from fractions import Fraction
 
 import numpy as np
 
 from . import crypto
-from .attacks import dca_table, isda_table, write_wf_csv
+from .attacks import dca_table, isda_table
 from .decoder import Algorithm, DecoderConfig
 from .design import SystemParams, weight_matrix
 from .errors import DesignFailure, ParameterError, QcmcError
-from .optimize import (OptimizerConfig, design_rows, optimize_design,
-                       write_design_csv, DESIGN_FIELDS)
+from .optimize import DESIGN_FIELDS, OptimizerConfig, design_rows, optimize_design
 from .prng import SeedStream
-from .simulate import sweep_rows, write_sim_csv
-from .threshold import threshold_table, write_threshold_csv
+from .simulate import sweep_rows
+from .threshold import threshold_table
 
 DEFAULT_SEED = "00" * 32
+RANGE_MAX_VALUES = 10**5  # far beyond any useful grid; a larger range is a typo
 
 
 def _nonempty(values: list[int], text: str) -> list[int]:
@@ -54,6 +55,9 @@ def _parse_range(text: str) -> list[int]:
         raise ParameterError(f"expected start:stop:step, got {text!r}") from exc
     if step < 1:
         raise ParameterError(f"range step must be at least 1, got {step}")
+    count = (stop - start) // step + 1  # not len(range): that overflows past 2**63
+    if count > RANGE_MAX_VALUES:
+        raise ParameterError(f"range {text!r} has {count} values, above {RANGE_MAX_VALUES}")
     return _nonempty(list(range(start, stop + 1, step)), text)
 
 
@@ -81,10 +85,12 @@ def _build_params(args) -> SystemParams:
     return SystemParams(args.n0, args.p, args.dv, W, args.t)
 
 
-def _out_stream(path: str | None):
-    if path:
-        return open(path, "w", newline="")
-    return contextlib.nullcontext(sys.stdout)
+def _write_csv(rows: list[dict], path: str | None, fields: list[str] | None = None) -> None:
+    """Rows as CSV to path, or to stdout without one; columns default to the rows' keys."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
+        writer = csv.DictWriter(out, fieldnames=fields or list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def cmd_keygen(args) -> int:
@@ -127,8 +133,7 @@ def cmd_decrypt(args) -> int:
 
 def cmd_threshold(args) -> int:
     rows = threshold_table(args.n0, _parse_range(args.dv), _parse_range(args.p_range))
-    with _out_stream(args.out) as out:
-        write_threshold_csv(rows, out)
+    _write_csv(rows, args.out)
     return 0
 
 
@@ -142,8 +147,7 @@ def cmd_wf(args) -> int:
         if not args.t:
             raise ParameterError("--attack isda needs --t")
         rows = isda_table(args.n0, p_values, _parse_range(args.t))
-    with _out_stream(args.out) as out:
-        write_wf_csv(rows, out)
+    _write_csv(rows, args.out)
     return 0
 
 
@@ -158,8 +162,7 @@ def cmd_optimize(args) -> int:
     report = optimize_design(cfg)
     rows = design_rows(report)
     if args.csv:
-        with open(args.csv, "w", newline="") as out:
-            write_design_csv(report, out)
+        _write_csv(rows, args.csv, DESIGN_FIELDS)
     widths = {f: max(len(f), 9) for f in DESIGN_FIELDS}
     print("  ".join(f.rjust(widths[f]) for f in DESIGN_FIELDS))
     for row in rows:
@@ -181,8 +184,7 @@ def cmd_simulate(args) -> int:
               f"ber={row['ber']:.3e} avg_iters={row['avg_iters']} "
               f"ci=[{row['ci_low']:.3e}, {row['ci_high']:.3e}]")
     if args.out:
-        with _out_stream(args.out) as out:
-            write_sim_csv(rows, out)
+        _write_csv(rows, args.out)
     return 0
 
 

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .decoder import Algorithm, DecoderConfig, decode
+from .decoder import Algorithm, DecoderConfig, _checked_word, decode
 from .design import (ParityCheck, SystemParams, pattern_det_gf2, sample_h_random,
                      sample_h_rdf, systematic_generator)
 from .errors import DecodingFailure, KeygenFailure, ParameterError, SingularMatrixError
@@ -156,9 +156,7 @@ def keygen(params: SystemParams, seed, mode: KeyMode = KeyMode.CLASSIC,
 def encrypt(pk: PublicKey, u: np.ndarray, rng: SeedStream) -> np.ndarray:
     """c = u G' + e with e uniform of weight exactly t."""
     params = pk.params
-    u = np.asarray(u, dtype=np.uint8)
-    if u.shape != (params.k,):
-        raise ParameterError(f"message length must be {params.k} bits")
+    u = _checked_word(u, params.k, "message")
     e = random_error_vector(params.n, params.t, rng)
     return qc_vec_mul(u, pk.Gp) ^ e
 
@@ -175,9 +173,7 @@ def decrypt(sk: PrivateKey, c: np.ndarray,
     budget t * max_row_weight(Q); otherwise DecodingFailure is raised.
     """
     params = sk.params
-    c = np.asarray(c, dtype=np.uint8)
-    if c.shape != (params.n,):
-        raise ParameterError(f"ciphertext length must be {params.n} bits")
+    c = _checked_word(c, params.n, "ciphertext")
 
     c_priv = qc_vec_mul(c, sk.Q)
     outcome = decode(sk.h, c_priv, cfg)

@@ -141,11 +141,11 @@ def _count_unsatisfied(index, upc: np.ndarray, synd: np.ndarray, toggled: np.nda
     return upc + delta[:, :p] + delta[:, p:]
 
 
-def _checked_word(h: ParityCheck, v) -> np.ndarray:
-    """v as a uint8 array; ParameterError unless it is n entries of 0 or 1."""
+def _checked_word(v, length: int, name: str = "word") -> np.ndarray:
+    """v as a uint8 array; ParameterError unless it is `length` entries of 0 or 1."""
     v = np.asarray(v)
-    if v.shape != (h.params.n,):
-        raise ParameterError(f"word length must be {h.params.n}")
+    if v.shape != (length,):
+        raise ParameterError(f"{name} length must be {length} bits")
     if not ((v == 0) | (v == 1)).all():
         raise ParameterError("word entries must be 0 or 1")
     return v.astype(np.uint8, copy=False)
@@ -153,7 +153,7 @@ def _checked_word(h: ParityCheck, v) -> np.ndarray:
 
 def syndrome(h: ParityCheck, v: np.ndarray) -> np.ndarray:
     """Syndrome of a length-n word against the sparse private matrix."""
-    return _syndrome(_index_for(h), _checked_word(h, v).reshape(h.params.n0, -1)).view(np.uint8)
+    return _syndrome(_index_for(h), _checked_word(v, h.params.n).reshape(h.params.n0, -1)).view(np.uint8)
 
 
 def _bf_rounds(index, v: np.ndarray, synd: np.ndarray, b: int | None):
@@ -239,7 +239,7 @@ def decode(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> DecodeOu
     if cfg.algorithm is Algorithm.SPA:
         p0 = cfg.p0 if cfg.p0 is not None else _check_p0(params.error_fraction, (
             f"the default p0 = max(t', 1)/n (t'={params.t_prime}, n={params.n})"))
-    received = _checked_word(h, received)
+    received = _checked_word(received, h.params.n)
     blocks, index = received.reshape(params.n0, params.p), _index_for(h)
     synd = _syndrome(index, blocks)
     rounds = (_bf_rounds(index, blocks.copy(), synd, b) if p0 is None

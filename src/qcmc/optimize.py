@@ -18,11 +18,9 @@ the rows that re-verify every constraint at the achieved parameters.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TextIO
 
 from .attacks import dca_wf_at, h_enumeration_wf, isda_secure, isda_wf_at
 from .design import N0_MAX, SystemParams, realizable_sigma, weight_matrix
@@ -30,8 +28,7 @@ from .errors import ParameterError
 from .threshold import ThresholdQuery, bf_threshold
 
 __all__ = ["OptimizerConfig", "DesignResult", "OptimizationReport",
-           "complexity_c", "m_star", "security_targets", "optimize_design",
-           "write_design_csv"]
+           "complexity_c", "m_star", "security_targets", "optimize_design"]
 
 DEFAULT_P_GRID = tuple(1024 * i for i in range(4, 33))  # 2^12 .. 2^15
 DEFAULT_CANDIDATES = (15, 19, 25, 35, 45, 59, 77)
@@ -73,6 +70,8 @@ class OptimizerConfig:
             raise ParameterError(f"n0 above N0_MAX = {N0_MAX}")
         if not (1 <= self.I < math.inf and 1 <= self.alpha < math.inf):
             raise ParameterError("I and alpha must be finite and at least 1")
+        if not self.p_grid or min(self.p_grid) < 1:
+            raise ParameterError("the p grid must be nonempty, every entry at least 1")
         if any(d % 2 == 0 for d in self.d_v_candidates):
             raise ParameterError("d_v candidates must be odd: even-weight "
                                  "circulants are never invertible")
@@ -228,20 +227,11 @@ DESIGN_FIELDS = ["d_v", "m", "p", "n", "t", "t_prime", "threshold",
 
 
 def design_rows(report: OptimizationReport) -> list[dict]:
+    """One dict per design, keyed by DESIGN_FIELDS in order."""
     rows = []
     for d in report.designs:
         pr = d.params
-        rows.append({
-            "d_v": pr.d_v, "m": float(pr.m), "p": pr.p, "n": pr.n, "t": d.t,
-            "t_prime": pr.t_prime, "threshold": pr.t_prime + d.bf_margin,
-            "C_log2": round(d.C_log2, 2), "dca_bits": round(d.dca_bits, 2),
-            "isda_bits": round(d.isda_bits, 2), "h_enum_bits": round(d.h_enum_bits, 2),
-        })
+        bits = (round(x, 2) for x in (d.C_log2, d.dca_bits, d.isda_bits, d.h_enum_bits))
+        rows.append(dict(zip(DESIGN_FIELDS, (pr.d_v, float(pr.m), pr.p, pr.n, d.t, pr.t_prime,
+                                             pr.t_prime + d.bf_margin, *bits), strict=True)))
     return rows
-
-
-def write_design_csv(report: OptimizationReport, out: TextIO) -> None:
-    writer = csv.DictWriter(out, fieldnames=DESIGN_FIELDS)
-    writer.writeheader()
-    for row in design_rows(report):
-        writer.writerow(row)

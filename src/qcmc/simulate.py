@@ -18,11 +18,10 @@ not pay for it.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +32,9 @@ from .errors import ParameterError
 from .prng import SeedStream, normalize_seed
 
 LOT_SIZE = 64
+# the lot list (156,250 tuples) and the 17-byte trial records (170 MB, held twice while
+# concatenated) stay well under 1 GiB here, and so many decodes take hours already
+MAX_TRIALS = 10**7
 TRIAL_RECORD = np.dtype([("iterations", np.int64), ("converged", np.bool_),
                          ("residual", np.int64)])
 
@@ -88,8 +90,8 @@ def run_trials(h: ParityCheck, cfg: DecoderConfig, t_err: int, trials: int,
     params = h.params
     if not 0 <= t_err <= params.n:
         raise ParameterError("t_err out of range")
-    if trials < 1:
-        raise ParameterError("need at least one trial")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ParameterError(f"need between 1 and MAX_TRIALS = {MAX_TRIALS} trials")
     if jobs < 1:
         raise ParameterError("need at least one job")
     seed_bytes = normalize_seed(seed)
@@ -134,11 +136,3 @@ def sweep_rows(h: ParityCheck, cfg: DecoderConfig, t_err_values: Sequence[int],
             "ci_low": round(rep.ci_low, 8), "ci_high": round(rep.ci_high, 8),
         })
     return rows
-
-
-def write_sim_csv(rows: Iterable[dict], out: TextIO) -> None:
-    writer = csv.DictWriter(out, fieldnames=["t_err", "trials", "cer", "ber",
-                                             "avg_iters", "ci_low", "ci_high"])
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)

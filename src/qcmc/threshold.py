@@ -40,16 +40,14 @@ D = 2u (d + 2)(d_c + 12) also absorbs rounding q_c + D and 2^(d - 1072) of subno
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence
 
 from .errors import ParameterError
 
-__all__ = ["ThresholdQuery", "bf_threshold", "bf_threshold_detail",
-           "threshold_table", "write_threshold_csv"]
+__all__ = ["ThresholdQuery", "bf_threshold", "bf_threshold_detail", "threshold_table"]
 
 MAX_RECURSION_STEPS = 100
 
@@ -151,10 +149,3 @@ def threshold_table(n0: int, d_v_values: Sequence[int],
             t_max, b_opt = bf_threshold_detail(ThresholdQuery(n, n0, d_v))
             rows.append({"n": n, "d_v": d_v, "b_opt": b_opt, "t_max": t_max})
     return rows
-
-
-def write_threshold_csv(rows: Iterable[dict], out: TextIO) -> None:
-    writer = csv.DictWriter(out, fieldnames=["n", "d_v", "b_opt", "t_max"])
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)

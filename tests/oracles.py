@@ -607,7 +607,7 @@ def _ref_decode_bf(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) -> 
         b = params.d_v if cfg.b is None else cfg.b
         if not math.ceil(params.d_v / 2) <= b <= params.d_v:
             raise ParameterError("b must lie in [ceil(d_v/2), d_v]")
-    received = _checked_word(h, received)
+    received = _checked_word(received, h.params.n)
     to_check, to_var = _ref_index(h)
     v = received.reshape(params.n0, params.p).copy()
     synd = _ref_syndrome(to_check, v)
@@ -641,7 +641,7 @@ def _ref_decode_spa(h: ParityCheck, received: np.ndarray, cfg: DecoderConfig) ->
     p0 = cfg.p0 if cfg.p0 is not None else _check_p0(
         params.error_fraction,
         f"the default p0 = max(t', 1)/n (t'={params.t_prime}, n={params.n})")
-    received = _checked_word(h, received)
+    received = _checked_word(received, h.params.n)
     to_check, to_var = _ref_index(h)
     rec_blocks = received.reshape(params.n0, params.p)
     synd = _ref_syndrome(to_check, rec_blocks)

@@ -1,6 +1,5 @@
 """Work-factor model: closed forms, toy-attack oracle, monotonicity."""
 
-import io
 import math
 import random
 
@@ -14,7 +13,7 @@ from oracles import (count_weight_w_codewords, grid_eval_per_term, isda_full_sca
 from qcmc import attacks
 from qcmc.attacks import (IsdInstance, dca_wf_at, dca_table, h_enumeration_wf,
                           isd_success_probability, isd_wf, isda_secure, isda_wf_at, isda_table,
-                          q_space_size, write_wf_csv)
+                          q_space_size)
 from qcmc.errors import ParameterError
 
 
@@ -461,9 +460,7 @@ class TestAttackCurves:
     def test_tables_and_csv(self):
         rows = dca_table(4, [1024], [20, 30])
         assert rows[0]["log2_wf"] < rows[1]["log2_wf"]
-        buf = io.StringIO()
-        write_wf_csv(rows, buf)
-        assert buf.getvalue().splitlines()[0] == "p,d_v_prime,log2_wf,p_s,ell"
+        assert ",".join(rows[0]) == "p,d_v_prime,log2_wf,p_s,ell"  # the CSV columns
         rows2 = isda_table(4, [1024], [25])
         assert rows2[0]["s"] >= 1
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qcmc
-from qcmc.cli import main
+from qcmc.cli import RANGE_MAX_VALUES, _parse_range, main
 from qcmc.crypto import KEY_MAGIC, save_ciphertext
 from qcmc.design import N0_MAX, weight_matrix
 from qcmc.gf2 import BitPolynomial
@@ -470,6 +470,34 @@ def test_n0_above_max_fails_fast_under_a_memory_cap(tmp_path, child_env):
               ["decrypt", "--sk", "big.sk", "--in", "big.ct", "--out", "big.out"]]
     proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, json.dumps(argvs)],
                           capture_output=True, text=True, cwd=tmp_path, env=child_env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(argvs)
+    for argv, (code, err, seconds) in zip(argvs, results):
+        assert code == 2 and "error-category: ParameterError" in err, (argv, err)
+        assert seconds < 1.0, (argv, seconds)
+
+
+def test_range_bound(workdir):
+    assert len(_parse_range(f"1:{RANGE_MAX_VALUES}:1")) == RANGE_MAX_VALUES
+    for text in (f"0:{RANGE_MAX_VALUES}:1", f"0:{10**40}:1", f"-{10**40}:0:7"):
+        with pytest.raises(qcmc.ParameterError, match="values, above"):
+            _parse_range(text)
+
+
+def test_huge_ranges_and_trial_counts_fail_fast_under_a_memory_cap(workdir, child_env):
+    """A start:stop:step range with more than RANGE_MAX_VALUES values, or more than
+    simulate.MAX_TRIALS trials, exits 2 with a ParameterError within a second, before
+    any list of that size is built; a capped child process makes a regression fail here."""
+    assert main(KEYGEN) == 0
+    huge = "1:1000000000000:1"
+    argvs = [["threshold", "--n0", "4", "--dv", "15", "--p-range", huge],
+             ["wf", "--attack", "isda", "--p", huge, "--t", "3"],
+             ["simulate", "--key", "toy.sk", "--t", "0:1000000000000:1"],
+             ["simulate", "--key", "toy.sk", "--t", "2", "--trials", "1000000000000"]]
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, json.dumps(argvs)],
+                          capture_output=True, text=True, cwd=workdir, env=child_env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     results = [json.loads(line) for line in proc.stdout.splitlines()]

@@ -31,6 +31,18 @@ def random_message(k, seed):
     return np.random.RandomState(seed).randint(0, 2, k).astype(np.uint8)
 
 
+@pytest.fixture(scope="module")
+def odd_k_keys():
+    return keygen(SystemParams.make(2, 67, 5, 2), 10)
+
+
+def with_entry(word, index, entry):
+    """word as entry's dtype, with word[index] = entry."""
+    word = word.astype(np.asarray(entry).dtype)
+    word[index] = entry
+    return word
+
+
 class TestSampleQ:
     def test_block_weights_follow_pattern(self, toy_params):
         q, _ = _sample_q(toy_params, SeedStream(5, "q"))
@@ -249,6 +261,14 @@ class TestEncrypt:
         with pytest.raises(ParameterError):
             encrypt(pk, np.zeros(3, dtype=np.uint8), SeedStream(4, "e"))
 
+    @pytest.mark.parametrize("entry", [2, 0.7, -1])
+    def test_entries_other_than_0_and_1_rejected(self, odd_k_keys, entry):
+        # uint8 conversion used to encrypt 2 and 0.7 as 0
+        _, pk = odd_k_keys
+        u = with_entry(random_message(pk.params.k, 5), 3, entry)
+        with pytest.raises(ParameterError, match="word entries must be 0 or 1"):
+            encrypt(pk, u, SeedStream(4, "e"))
+
     def test_error_vector_weight(self):
         rng = SeedStream(5, "e")
         e = random_error_vector(100, 7, rng)
@@ -301,6 +321,17 @@ class TestDecrypt:
         sk, _ = toy_keys
         with pytest.raises(ParameterError):
             decrypt(sk, np.zeros(7, dtype=np.uint8))
+
+    @pytest.mark.parametrize("entry", [3, 2, 0.7])
+    def test_entries_other_than_0_and_1_rejected(self, odd_k_keys, entry):
+        # a 3 in place of a 1 used to decrypt as that 1, a 2 or 0.7 as a 0
+        sk, pk = odd_k_keys
+        u = random_message(pk.params.k, 6)
+        c = encrypt(pk, u, SeedStream(7, "e"))
+        assert np.array_equal(decrypt(sk, c), u)
+        c = with_entry(c, np.flatnonzero(c)[0], entry)
+        with pytest.raises(ParameterError, match="word entries must be 0 or 1"):
+            decrypt(sk, c)
 
 
 class TestSerialization:

@@ -1,7 +1,6 @@
 """Complexity metric, security targets, and the density-optimization search."""
 
 import hashlib
-import io
 import math
 from fractions import Fraction
 
@@ -15,7 +14,6 @@ from qcmc.cli import main
 from qcmc.errors import ParameterError
 from qcmc.optimize import (OptimizerConfig, complexity_c, m_star, optimize_design,
                            security_targets)
-from qcmc.threshold import threshold_table, write_threshold_csv
 
 
 class TestComplexity:
@@ -150,6 +148,11 @@ class TestOptimizerConfig:
         with pytest.raises(ParameterError):
             OptimizerConfig(100, d_v_candidates=(14, 15))
 
+    @pytest.mark.parametrize("p_grid", [(), (0,), (4096, -1)])
+    def test_empty_or_nonpositive_p_grid_rejected(self, p_grid):
+        with pytest.raises(ParameterError, match="p grid"):
+            OptimizerConfig(100, p_grid=p_grid)
+
 
 def test_cold_design_search_reads_lgamma_from_one_table(monkeypatch):
     # every binomial of the default search is an integer below the table cap,
@@ -197,9 +200,10 @@ def test_design_search_outputs_are_pinned(tmp_path):
         csv_path = tmp_path / f"designs{security}.csv"
         assert main(["optimize", "--security", security, "--csv", str(csv_path)]) == 0
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest, security
-    buf = io.StringIO()
-    write_threshold_csv(threshold_table(4, [15, 19, 25, 35, 45, 59, 77], [16384, 20480]), buf)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == THRESHOLD_DIGEST
+    csv_path = tmp_path / "threshold.csv"
+    assert main(["threshold", "--n0", "4", "--dv", "15,19,25,35,45,59,77",
+                 "--p-range", "16384,20480", "--out", str(csv_path)]) == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == THRESHOLD_DIGEST
 
 
 # sha256 of two qcmc wf tables, recorded before the Stern grid read the lgamma
@@ -219,6 +223,20 @@ def test_wf_tables_are_pinned(tmp_path):
         csv_path = tmp_path / f"wf-{args[0]}.csv"
         assert main(["wf", "--attack", *args, "--out", str(csv_path)]) == 0
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest, args
+
+
+# sha256 of a qcmc simulate CSV, recorded when each library module still wrote its own
+# CSV; its t = 8 row has codeword errors, so the rates and the interval are not all 0
+SIM_DIGEST = "c2523e56e55a884d314c99ae294e3e89b2c601560db7125652444fe8a846702a"
+
+
+def test_simulate_csv_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["keygen", "--n0", "2", "--p", "67", "--dv", "5", "--t", "2",
+                 "--seed", "0a", "--out", "k"]) == 0
+    assert main(["simulate", "--key", "k.sk", "--t", "0:8:2", "--trials", "70",
+                 "--decoder", "spa", "--seed", "07", "--out", "sim.csv"]) == 0
+    assert hashlib.sha256((tmp_path / "sim.csv").read_bytes()).hexdigest() == SIM_DIGEST
 
 
 def test_cold_design_search_takes_no_masked_grid(monkeypatch, array_comb_calls):

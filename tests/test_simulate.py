@@ -1,7 +1,6 @@
 """Monte Carlo harness: determinism, codeword modes, confidence intervals."""
 
 import concurrent.futures
-import io
 import os
 import signal
 import threading
@@ -14,7 +13,7 @@ from qcmc import simulate
 from qcmc.decoder import Algorithm, DecoderConfig
 from qcmc.errors import ParameterError
 from qcmc.prng import normalize_seed
-from qcmc.simulate import run_trials, sweep_rows, wilson_interval, write_sim_csv
+from qcmc.simulate import MAX_TRIALS, run_trials, sweep_rows, wilson_interval
 
 
 class TestWilson:
@@ -121,12 +120,15 @@ class TestRunTrials:
         assert run_trials(toy_h, cfg, 20, 130, 4, jobs=8) == serial
         assert started == [3]  # one lot, or an unknown CPU count, runs serially
 
-    def test_validation(self, toy_h, toy_params):
+    def test_validation(self, toy_h, toy_params, monkeypatch):
+        monkeypatch.setattr(simulate, "_run_lot", None)  # a missed check fails at once
         with pytest.raises(ParameterError):
             run_trials(toy_h, DecoderConfig(Algorithm.BF_VARIABLE),
                        toy_params.n + 1, 5, 0)
         with pytest.raises(ParameterError):
             run_trials(toy_h, DecoderConfig(Algorithm.BF_VARIABLE), 1, 0, 0)
+        with pytest.raises(ParameterError, match="MAX_TRIALS"):
+            run_trials(toy_h, DecoderConfig(Algorithm.BF_VARIABLE), 1, MAX_TRIALS + 1, 0)
 
 
 class TestSweep:
@@ -134,9 +136,7 @@ class TestSweep:
         rows = sweep_rows(toy_h, DecoderConfig(Algorithm.BF_VARIABLE),
                           [2, 6], 30, 11)
         assert [r["t_err"] for r in rows] == [2, 6]
-        buf = io.StringIO()
-        write_sim_csv(rows, buf)
-        header = buf.getvalue().splitlines()[0]
+        header = ",".join(rows[0])  # the CSV columns
         assert header == "t_err,trials,cer,ber,avg_iters,ci_low,ci_high"
 
 

@@ -1,6 +1,5 @@
 """Decoding-threshold recursion: fixed points, bounds, monotonicity, anchors."""
 
-import io
 import math
 import random
 from fractions import Fraction
@@ -9,11 +8,11 @@ import pytest
 
 from oracles import binomial_tail_per_term, per_b_threshold, plain_converges, reprobing_threshold
 from qcmc import threshold
+from qcmc.cli import main
 from qcmc.errors import ParameterError
 from qcmc.optimize import DEFAULT_CANDIDATES, DEFAULT_P_GRID
 from qcmc.threshold import (ThresholdQuery, bf_threshold, bf_threshold_detail,
-                            binomial_tail, evolution_step, threshold_table,
-                            write_threshold_csv)
+                            binomial_tail, evolution_step, threshold_table)
 
 
 class TestRecursionStep:
@@ -304,11 +303,11 @@ class TestCertifiedExitOracle:
 
 
 class TestCsv:
-    def test_table_and_emitter(self):
+    def test_table_and_emitter(self, capsys):
         rows = threshold_table(4, [13], [8192, 16384])
         assert [r["n"] for r in rows] == [8192, 16384]
-        buf = io.StringIO()
-        write_threshold_csv(rows, buf)
-        lines = buf.getvalue().strip().splitlines()
+        assert main(["threshold", "--n0", "4", "--dv", "13", "--p-range", "8192,16384"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "n,d_v,b_opt,t_max"
         assert len(lines) == 3
+        assert lines[1:] == [",".join(str(v) for v in row.values()) for row in rows]
