@@ -89,7 +89,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Sequence
 
 import numpy as np
 
@@ -98,7 +97,7 @@ from .errors import ParameterError
 __all__ = [
     "IsdInstance", "WfReport", "isd_wf", "isd_success_probability",
     "dca_wf_at", "isda_wf_at", "isda_secure",
-    "q_space_size", "h_enumeration_wf", "dca_table", "isda_table",
+    "q_space_size", "h_enumeration_wf",
 ]
 
 PS_MAX = 10
@@ -388,29 +387,3 @@ def h_enumeration_wf(p: int, d_v: int) -> float:
     if not 0 <= d_v <= p:
         raise ParameterError("need 0 <= d_v <= p")
     return math.log2(math.comb(p, d_v))
-
-
-def dca_table(n0: int, p_values: Sequence[int], d_v_prime_values: Sequence[int]) -> list[dict]:
-    rows = []
-    for p in p_values:
-        for dvp in d_v_prime_values:
-            try:
-                rep = dca_wf_at(n0, p, dvp)
-            except ParameterError as exc:
-                raise ParameterError(f"at p={p}, d_v_prime={dvp}: {exc}") from exc
-            rows.append({"p": p, "d_v_prime": dvp, "log2_wf": round(rep.log2_wf, 2),
-                         "p_s": rep.p_s, "ell": rep.ell})
-    return rows
-
-
-def isda_table(n0: int, p_values: Sequence[int], t_values: Sequence[int]) -> list[dict]:
-    rows = []
-    for p in p_values:
-        for t in t_values:
-            try:
-                rep = isda_wf_at(n0, p, t)
-            except ParameterError as exc:
-                raise ParameterError(f"at p={p}, t={t}: {exc}") from exc
-            rows.append({"p": p, "t": t, "log2_wf": round(rep.log2_wf, 2),
-                         "p_s": rep.p_s, "ell": rep.ell, "s": rep.s})
-    return rows

@@ -18,14 +18,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import crypto
-from .attacks import dca_table, isda_table
+from .attacks import dca_wf_at, isda_wf_at
 from .decoder import Algorithm, DecoderConfig
 from .design import SystemParams, weight_matrix
 from .errors import DesignFailure, ParameterError, QcmcError
-from .optimize import DESIGN_FIELDS, OptimizerConfig, design_rows, optimize_design
+from .optimize import (DEFAULT_CANDIDATES, DESIGN_FIELDS, OptimizerConfig, design_rows,
+                       optimize_design)
 from .prng import SeedStream
-from .simulate import sweep_rows
-from .threshold import threshold_table
+from .simulate import run_trials
+from .threshold import ThresholdQuery, bf_threshold_detail
 
 DEFAULT_SEED = "00" * 32
 RANGE_MAX_VALUES = 10**5  # far beyond any useful grid; a larger range is a typo
@@ -62,7 +63,7 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _decoder_config(args) -> DecoderConfig:
-    """b and p0 stay None: the decoder takes them from the key's code."""
+    """p0, and b without --b, stay None: the decoder takes them from the key's code."""
     return DecoderConfig(Algorithm(args.decoder), max_iterations=args.max_iter, b=args.b)
 
 
@@ -132,21 +133,34 @@ def cmd_decrypt(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    rows = threshold_table(args.n0, _parse_range(args.dv), _parse_range(args.p_range))
+    d_v_values, n_values, rows = _parse_range(args.dv), _parse_range(args.p_range), []
+    for d_v in d_v_values:
+        for n in n_values:
+            t_max, b_opt = bf_threshold_detail(ThresholdQuery(n, args.n0, d_v))
+            rows.append({"n": n, "d_v": d_v, "b_opt": b_opt, "t_max": t_max})
     _write_csv(rows, args.out)
     return 0
 
 
 def cmd_wf(args) -> int:
     p_values = _parse_range(args.p)
-    if args.attack == "dca":
-        if not args.dvp:
-            raise ParameterError("--attack dca needs --dvp")
-        rows = dca_table(args.n0, p_values, _parse_range(args.dvp))
-    else:
-        if not args.t:
-            raise ParameterError("--attack isda needs --t")
-        rows = isda_table(args.n0, p_values, _parse_range(args.t))
+    dca = args.attack == "dca"
+    name, option, text, wf_at = (("d_v_prime", "--dvp", args.dvp, dca_wf_at) if dca
+                                 else ("t", "--t", args.t, isda_wf_at))
+    if not text:
+        raise ParameterError(f"--attack {args.attack} needs {option}")
+    values, rows = _parse_range(text), []
+    for p in p_values:
+        for value in values:
+            try:
+                rep = wf_at(args.n0, p, value)
+            except ParameterError as exc:
+                raise ParameterError(f"at p={p}, {name}={value}: {exc}") from exc
+            row = {"p": p, name: value, "log2_wf": round(rep.log2_wf, 2),
+                   "p_s": rep.p_s, "ell": rep.ell}
+            if not dca:  # the ISDA shift count
+                row["s"] = rep.s
+            rows.append(row)
     _write_csv(rows, args.out)
     return 0
 
@@ -156,7 +170,6 @@ def cmd_optimize(args) -> int:
         target_security_bits=args.security,
         n0=args.n0,
         I=args.I,
-        alpha=args.alpha,
         d_v_candidates=tuple(_parse_int_list(args.candidates)),
     )
     report = optimize_design(cfg)
@@ -177,12 +190,15 @@ def cmd_optimize(args) -> int:
 def cmd_simulate(args) -> int:
     sk = crypto.load_private_key(args.key)
     cfg = _decoder_config(args)
-    t_values = _parse_range(args.t)
-    rows = sweep_rows(sk.h, cfg, t_values, args.trials, args.seed, args.jobs)
-    for row in rows:
-        print(f"t_err={row['t_err']} trials={row['trials']} cer={row['cer']:.3e} "
-              f"ber={row['ber']:.3e} avg_iters={row['avg_iters']} "
-              f"ci=[{row['ci_low']:.3e}, {row['ci_high']:.3e}]")
+    rows = []
+    for t_err in _parse_range(args.t):
+        rep = run_trials(sk.h, cfg, t_err, args.trials, args.seed, args.jobs)
+        row = {"t_err": t_err, "trials": rep.trials, "cer": rep.cer, "ber": rep.ber,
+               "avg_iters": round(rep.avg_iterations, 3),
+               "ci_low": round(rep.ci_low, 8), "ci_high": round(rep.ci_high, 8)}
+        print(f"t_err={t_err} trials={rep.trials} cer={rep.cer:.3e} ber={rep.ber:.3e} "
+              f"avg_iters={row['avg_iters']} ci=[{row['ci_low']:.3e}, {row['ci_high']:.3e}]")
+        rows.append(row)
     if args.out:
         _write_csv(rows, args.out)
     return 0
@@ -223,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_decoder(p, default):
         p.add_argument("--decoder", choices=[a.value for a in Algorithm], default=default)
         p.add_argument("--b", type=int, default=None)
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=100)
+        p.add_argument("--max-iter", dest="max_iter", type=int,
+                       default=DecoderConfig.max_iterations)
 
     p = sub.add_parser("keygen", help="generate a key pair")
     p.add_argument("--n0", type=int, default=4)
@@ -272,9 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="feasible designs sorted by decryption cost")
     p.add_argument("--security", type=float, required=True)
     p.add_argument("--n0", type=int, default=4)
-    p.add_argument("--I", type=float, default=10.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--candidates", default="15,19,25,35,45,59,77")
+    p.add_argument("--I", type=float, default=OptimizerConfig.I)
+    p.add_argument("--candidates", default=",".join(map(str, DEFAULT_CANDIDATES)))
     p.add_argument("--csv", help="also write the table as CSV")
     p.set_defaults(func=cmd_optimize)
 

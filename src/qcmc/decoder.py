@@ -43,9 +43,10 @@ class DecoderConfig:
     """Decoder selection and tuning.
 
     b is the fixed flip threshold (BF_FIXED only, ceil(d_v/2) <= b <= d_v);
-    p0 is the assumed channel error fraction for SPA initialization.  Left
-    as None, decode takes both from the code: b = d_v (unanimous-vote flips)
-    and p0 = h.params.error_fraction, the t'/n the private decoder sees.
+    p0 is the assumed channel error fraction (SPA only); another algorithm
+    rejects either.  Left as None, decode takes both from the code: b = d_v
+    (unanimous-vote flips) and p0 = h.params.error_fraction, the t'/n the
+    private decoder sees.
     """
 
     algorithm: Algorithm
@@ -56,7 +57,11 @@ class DecoderConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ParameterError("max_iterations must be positive")
+        if self.b is not None and self.algorithm is not Algorithm.BF_FIXED:
+            raise ParameterError(f"b applies to BF_FIXED only, not {self.algorithm.name}")
         if self.p0 is not None:
+            if self.algorithm is not Algorithm.SPA:
+                raise ParameterError(f"p0 applies to SPA only, not {self.algorithm.name}")
             _check_p0(self.p0)
 
 

@@ -1,6 +1,6 @@
 """Parity-check density optimization: pick (d_v, m, p, t) minimizing decryption cost.
 
-Decryption costs C(m) = alpha * n * (d_v'/m) * I + n * m binary operations:
+Decryption costs C(m) = n * (d_v'/m) * I + n * m binary operations:
 the first term is iterative decoding over a Tanner graph with n * d_v edges
 (d_v = d_v'/m), the second is the sparse multiplication by Q with average
 row weight m.  For fixed d_v' the unconstrained minimum sits at
@@ -36,11 +36,12 @@ D_V_PRIME_MAX = 300
 T_MAX = 600
 
 
-def complexity_c(n: int, d_v_prime, m, I, alpha=1.0) -> float:
-    """Decryption operation count C(m) = alpha*n*(d_v'/m)*I + n*m."""
+def complexity_c(n: int, d_v_prime, m, I) -> float:
+    """Decryption operation count C(m) = n*(d_v'/m)*I + n*m."""
     if m < 1:
         raise ParameterError("m below 1 cannot give a nonsingular Q")
-    return float(alpha * n * (d_v_prime / m) * I + n * m)
+    # float(n) first: n times a Fraction d_v'/m would multiply exactly and round differently
+    return float(n) * (d_v_prime / m) * I + n * m
 
 
 def m_star(d_v_prime, I) -> float:
@@ -57,7 +58,6 @@ class OptimizerConfig:
     target_security_bits: float
     n0: int = 4
     I: float = 10.0
-    alpha: float = 1.0
     d_v_candidates: tuple[int, ...] = DEFAULT_CANDIDATES
     p_grid: tuple[int, ...] = DEFAULT_P_GRID
 
@@ -68,8 +68,10 @@ class OptimizerConfig:
             raise ParameterError("need n0 >= 2 circulant blocks")
         if self.n0 > N0_MAX:
             raise ParameterError(f"n0 above N0_MAX = {N0_MAX}")
-        if not (1 <= self.I < math.inf and 1 <= self.alpha < math.inf):
-            raise ParameterError("I and alpha must be finite and at least 1")
+        if not 1 <= self.I < math.inf:
+            raise ParameterError("I must be finite and at least 1")
+        if not self.d_v_candidates:
+            raise ParameterError("need at least one d_v candidate")
         if not self.p_grid or min(self.p_grid) < 1:
             raise ParameterError("the p grid must be nonempty, every entry at least 1")
         if any(d % 2 == 0 for d in self.d_v_candidates):
@@ -208,7 +210,7 @@ def _evaluate_candidate(cfg: OptimizerConfig, lam: float, d_v: int,
 
         params = SystemParams(cfg.n0, chosen_p, d_v,
                               weight_matrix(cfg.n0, int(sigma_w)), t)
-        c_val = complexity_c(params.n, achieved_dvp, m, cfg.I, cfg.alpha)
+        c_val = complexity_c(params.n, achieved_dvp, m, cfg.I)
         return DesignResult(
             params=params,
             d_v_prime=float(achieved_dvp),

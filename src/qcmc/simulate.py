@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -122,17 +121,3 @@ def run_trials(h: ParityCheck, cfg: DecoderConfig, t_err: int, trials: int,
         ci_low=lo,
         ci_high=hi,
     )
-
-
-def sweep_rows(h: ParityCheck, cfg: DecoderConfig, t_err_values: Sequence[int],
-               trials: int, seed, jobs: int = 1) -> list[dict]:
-    """One report row per error count (the error-rate-curve data)."""
-    rows = []
-    for t_err in t_err_values:
-        rep = run_trials(h, cfg, t_err, trials, seed, jobs)
-        rows.append({
-            "t_err": t_err, "trials": rep.trials, "cer": rep.cer, "ber": rep.ber,
-            "avg_iters": round(rep.avg_iterations, 3),
-            "ci_low": round(rep.ci_low, 8), "ci_high": round(rep.ci_high, 8),
-        })
-    return rows

@@ -43,11 +43,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 from .errors import ParameterError
 
-__all__ = ["ThresholdQuery", "bf_threshold", "bf_threshold_detail", "threshold_table"]
+__all__ = ["ThresholdQuery", "bf_threshold", "bf_threshold_detail"]
 
 MAX_RECURSION_STEPS = 100
 
@@ -138,14 +137,3 @@ def bf_threshold(q: ThresholdQuery) -> int:
 def bf_threshold_detail(q: ThresholdQuery) -> tuple[int, int]:
     """(t_max, optimizing b)."""
     return _threshold_cached(q.n, q.n0, q.d_v)
-
-
-def threshold_table(n0: int, d_v_values: Sequence[int],
-                    n_values: Sequence[int]) -> list[dict]:
-    """Threshold grid rows: one dict per (n, d_v) pair."""
-    rows = []
-    for d_v in d_v_values:
-        for n in n_values:
-            t_max, b_opt = bf_threshold_detail(ThresholdQuery(n, n0, d_v))
-            rows.append({"n": n, "d_v": d_v, "b_opt": b_opt, "t_max": t_max})
-    return rows

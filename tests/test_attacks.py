@@ -1,5 +1,6 @@
 """Work-factor model: closed forms, toy-attack oracle, monotonicity."""
 
+import csv
 import math
 import random
 
@@ -11,9 +12,9 @@ from oracles import (count_weight_w_codewords, grid_eval_per_term, isda_full_sca
                      left_first_isda_search, log2_comb_masked, log2_success_masked,
                      meshgrid_isd_wf, meshgrid_isda_bound, stern_search_iterations)
 from qcmc import attacks
-from qcmc.attacks import (IsdInstance, dca_wf_at, dca_table, h_enumeration_wf,
-                          isd_success_probability, isd_wf, isda_secure, isda_wf_at, isda_table,
-                          q_space_size)
+from qcmc.attacks import (IsdInstance, dca_wf_at, h_enumeration_wf, isd_success_probability,
+                          isd_wf, isda_secure, isda_wf_at, q_space_size)
+from qcmc.cli import main
 from qcmc.errors import ParameterError
 
 
@@ -457,12 +458,16 @@ class TestAttackCurves:
         assert all(d > 0 for d in diffs)
         assert max(diffs) - min(diffs) < 0.2 * (sum(diffs) / len(diffs))
 
-    def test_tables_and_csv(self):
-        rows = dca_table(4, [1024], [20, 30])
-        assert rows[0]["log2_wf"] < rows[1]["log2_wf"]
-        assert ",".join(rows[0]) == "p,d_v_prime,log2_wf,p_s,ell"  # the CSV columns
-        rows2 = isda_table(4, [1024], [25])
-        assert rows2[0]["s"] >= 1
+    def test_tables_and_csv(self, capsys):
+        def rows(*argv):
+            assert main(["wf", "--n0", "4", "--p", "1024", *argv]) == 0
+            return list(csv.DictReader(capsys.readouterr().out.splitlines()))
+
+        dca = rows("--attack", "dca", "--dvp", "20,30")
+        assert float(dca[0]["log2_wf"]) < float(dca[1]["log2_wf"])
+        assert ",".join(dca[0]) == "p,d_v_prime,log2_wf,p_s,ell"  # the CSV columns
+        isda = rows("--attack", "isda", "--t", "25")
+        assert int(isda[0]["s"]) >= 1
 
 
 def _random_isda_points(count: int, seed: int = 20130101) -> list[tuple[int, int, int]]:

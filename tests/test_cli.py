@@ -147,6 +147,15 @@ def test_simulate_rejects_jobs_below_one(workdir, capsys, jobs):
     assert "error-category: ParameterError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("decoder, b", [("spa", "3"), ("bfv", "1")])
+def test_simulate_rejects_b_without_bf_decoder(workdir, capsys, decoder, b):
+    assert main(KEYGEN) == 0
+    code = main(["simulate", "--key", "toy.sk", "--t", "2", "--trials", "5",
+                 "--decoder", decoder, "--b", b])
+    assert code == 2
+    assert "error-category: ParameterError" in capsys.readouterr().err
+
+
 def test_simulate_missing_key_file(workdir, capsys):
     code = main(["simulate", "--key", "absent.sk", "--t", "2", "--trials", "5"])
     assert code == 2
@@ -284,7 +293,7 @@ def test_malformed_option_text_exits_2(workdir, capsys, argv):
     assert "error-category: ParameterError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("option", ["--I", "--alpha", "--security"])
+@pytest.mark.parametrize("option", ["--I", "--security"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_optimize_rejects_non_finite_settings(workdir, capsys, option, value):
     # a repeated option takes its last value, so this also covers --security

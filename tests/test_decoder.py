@@ -110,6 +110,14 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match=r"\(t'=16, n=32\) must lie in \(0, 0.5\)"):
             decode(h, np.zeros(params.n, dtype=np.uint8), DecoderConfig(Algorithm.SPA))
 
+    @pytest.mark.parametrize("algorithm, setting", [
+        (Algorithm.SPA, {"b": 3}), (Algorithm.BF_VARIABLE, {"b": 3}),
+        (Algorithm.BF_FIXED, {"p0": 0.3}), (Algorithm.BF_VARIABLE, {"p0": 0.3}),
+    ], ids=["spa-b", "bfv-b", "bf-p0", "bfv-p0"])
+    def test_setting_of_another_algorithm_rejected(self, algorithm, setting):
+        with pytest.raises(ParameterError, match=f"{next(iter(setting))} applies to"):
+            DecoderConfig(algorithm, **setting)
+
     def test_spa_p0_range(self):
         with pytest.raises(ParameterError):
             DecoderConfig(Algorithm.SPA, p0=0.5)

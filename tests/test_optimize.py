@@ -28,11 +28,6 @@ class TestComplexity:
         with pytest.raises(ParameterError):
             complexity_c(1000, 50, 0.5, 10)
 
-    def test_alpha_scales_decoding_term(self):
-        base = complexity_c(1000, 50, 2, 10, alpha=1)
-        doubled = complexity_c(1000, 50, 2, 10, alpha=2)
-        assert doubled - base == 1000 * (50 / 2) * 10
-
     def test_convex_with_unique_minimum_at_m_star(self):
         n, dvp, I = 16384, 59, 10.0
         ms = [1 + 0.05 * i for i in range(800)]
@@ -147,6 +142,10 @@ class TestOptimizerConfig:
         # ring-invertible, so no key could ever be generated
         with pytest.raises(ParameterError):
             OptimizerConfig(100, d_v_candidates=(14, 15))
+
+    def test_empty_candidates_rejected(self):
+        with pytest.raises(ParameterError, match="at least one d_v candidate"):
+            OptimizerConfig(100, d_v_candidates=())
 
     @pytest.mark.parametrize("p_grid", [(), (0,), (4096, -1)])
     def test_empty_or_nonpositive_p_grid_rejected(self, p_grid):

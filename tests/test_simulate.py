@@ -1,6 +1,7 @@
 """Monte Carlo harness: determinism, codeword modes, confidence intervals."""
 
 import concurrent.futures
+import csv
 import os
 import signal
 import threading
@@ -10,10 +11,11 @@ import pytest
 
 from oracles import random_codeword_lot
 from qcmc import simulate
+from qcmc.cli import main
 from qcmc.decoder import Algorithm, DecoderConfig
 from qcmc.errors import ParameterError
 from qcmc.prng import normalize_seed
-from qcmc.simulate import MAX_TRIALS, run_trials, sweep_rows, wilson_interval
+from qcmc.simulate import MAX_TRIALS, run_trials, wilson_interval
 
 
 class TestWilson:
@@ -132,10 +134,15 @@ class TestRunTrials:
 
 
 class TestSweep:
-    def test_rows_and_csv(self, toy_h):
-        rows = sweep_rows(toy_h, DecoderConfig(Algorithm.BF_VARIABLE),
-                          [2, 6], 30, 11)
-        assert [r["t_err"] for r in rows] == [2, 6]
+    def test_rows_and_csv(self, tmp_path):
+        key, out = tmp_path / "toy", tmp_path / "sim.csv"
+        assert main(["keygen", "--n0", "2", "--p", "256", "--dv", "5", "--t", "2", "--m", "3",
+                     "--seed", "01", "--out", str(key)]) == 0
+        assert main(["simulate", "--key", f"{key}.sk", "--t", "2,6", "--trials", "30",
+                     "--decoder", "bfv", "--seed", "11", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["t_err"] for r in rows] == ["2", "6"]
         header = ",".join(rows[0])  # the CSV columns
         assert header == "t_err,trials,cer,ber,avg_iters,ci_low,ci_high"
 

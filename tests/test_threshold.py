@@ -12,7 +12,7 @@ from qcmc.cli import main
 from qcmc.errors import ParameterError
 from qcmc.optimize import DEFAULT_CANDIDATES, DEFAULT_P_GRID
 from qcmc.threshold import (ThresholdQuery, bf_threshold, bf_threshold_detail,
-                            binomial_tail, evolution_step, threshold_table)
+                            binomial_tail, evolution_step)
 
 
 class TestRecursionStep:
@@ -304,10 +304,11 @@ class TestCertifiedExitOracle:
 
 class TestCsv:
     def test_table_and_emitter(self, capsys):
-        rows = threshold_table(4, [13], [8192, 16384])
-        assert [r["n"] for r in rows] == [8192, 16384]
+        rows = [(n, 13, *reversed(bf_threshold_detail(ThresholdQuery(n, 4, 13))))
+                for n in (8192, 16384)]
         assert main(["threshold", "--n0", "4", "--dv", "13", "--p-range", "8192,16384"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["8192", "16384"]
         assert lines[0] == "n,d_v,b_opt,t_max"
         assert len(lines) == 3
-        assert lines[1:] == [",".join(str(v) for v in row.values()) for row in rows]
+        assert lines[1:] == [",".join(str(v) for v in row) for row in rows]
