@@ -33,7 +33,7 @@ import numpy as np
 
 from .decoder import Algorithm, DecoderConfig, _checked_word, decode
 from .design import (ParityCheck, SystemParams, pattern_det_gf2, sample_h_random,
-                     sample_h_rdf, systematic_generator)
+                     sample_h_rdf, systematic_form, systematic_generator)
 from .errors import DecodingFailure, KeygenFailure, ParameterError, SingularMatrixError
 from .gf2 import (BitPolynomial, QcMatrix, SparseSupport, bits_to_int, qc_invert,
                   qc_is_invertible, qc_mul, qc_transpose, qc_vec_mul)
@@ -85,10 +85,10 @@ def _inverse_or_none(mat: QcMatrix) -> QcMatrix | None:
     return qc_invert(mat) if qc_is_invertible(mat) else None
 
 
-def _sample_invertible(n: int, p: int, draw, what: str) -> tuple[QcMatrix, QcMatrix]:
+def _sample_invertible(n: int, draw, what: str) -> tuple[QcMatrix, QcMatrix]:
     """Invertible n x n block matrix with block (i, j) = draw(i, j), drawn row-major."""
     for _ in range(KEYGEN_BUDGET):
-        mat = QcMatrix(n, n, p, tuple(tuple(draw(i, j) for j in range(n)) for i in range(n)))
+        mat = QcMatrix([[draw(i, j) for j in range(n)] for i in range(n)])
         if (inv := _inverse_or_none(mat)) is not None:
             return mat, inv
     raise KeygenFailure(f"no invertible {what} within the sampling budget")
@@ -102,7 +102,7 @@ def _sample_q(params: SystemParams, rng: SeedStream) -> tuple[QcMatrix, QcMatrix
             "is invertible (weight parity is a ring homomorphism)")
     p = params.p
     return _sample_invertible(
-        params.n0, p,
+        params.n0,
         lambda i, j: BitPolynomial.from_support(p, rng.sample_distinct(p, params.W[i][j])), "Q")
 
 
@@ -140,9 +140,9 @@ def keygen(params: SystemParams, seed, mode: KeyMode = KeyMode.CLASSIC,
         m_mat = qc_mul(g, q_inv)
         if not systematic:
             s, s_inv = _sample_invertible(
-                k0, p, lambda i, j: BitPolynomial(p, s_rng.take_bits(p)), "S")
+                k0, lambda i, j: BitPolynomial(p, s_rng.take_bits(p)), "S")
             break
-        s = QcMatrix(k0, k0, p, tuple(tuple(row[:k0]) for row in m_mat.blocks))
+        s = QcMatrix(tuple(row[:k0] for row in m_mat.blocks))
         if (s_inv := _inverse_or_none(s)) is not None:
             break
     else:
@@ -251,8 +251,8 @@ def _read_lines(path: str | os.PathLike) -> list[str]:
 def save_public_key(pk: PublicKey, path) -> None:
     params = pk.params
     lines = [f"{KEY_MAGIC} {pk.mode.value}", _params_line(params), _w_line(params)]
-    if pk.mode is KeyMode.SYSTEMATIC:
-        blocks = [pk.Gp.blocks[i][params.n0 - 1] for i in range(params.k0)]
+    if pk.mode is KeyMode.SYSTEMATIC:  # G' = [I | P]: only P is stored
+        blocks = [row[-1] for row in pk.Gp.blocks]
     else:
         blocks = [blk for row in pk.Gp.blocks for blk in row]
     lines += [blk.to_hex() for blk in blocks]
@@ -278,20 +278,18 @@ def _load_key(path, want: type | None) -> PrivateKey | PublicKey:
         raise ParameterError(f"{path} holds a {kind.__name__}, not a {want.__name__} "
                              "(a seed= header field marks a private key)")
     polys = [BitPolynomial.from_hex(params.p, ln) for ln in lines[3:]]
-    n0, k0, p = params.n0, params.k0, params.p
+    n0, k0 = params.n0, params.k0
     expected = (n0 + k0 * k0 + n0 * n0 if kind is PrivateKey
                 else k0 if mode is KeyMode.SYSTEMATIC else k0 * n0)
     if len(polys) != expected:
         raise ParameterError(f"expected {expected} blocks, found {len(polys)}")
     if kind is PublicKey:
-        if mode is KeyMode.SYSTEMATIC:  # the identity blocks are not stored
-            one, zero = BitPolynomial.one(p), BitPolynomial.zero(p)
-            polys = [blk for i in range(k0)
-                     for blk in [one if j == i else zero for j in range(k0)] + [polys[i]]]
-        return PublicKey(params, QcMatrix(k0, n0, p, _grid(polys, k0, n0)), mode)
+        gp = (systematic_form(polys) if mode is KeyMode.SYSTEMATIC  # the I blocks are not stored
+              else QcMatrix(_grid(polys, k0, n0)))
+        return PublicKey(params, gp, mode)
     h = ParityCheck(params, tuple(SparseSupport.from_poly(poly) for poly in polys[:n0]))
-    s = QcMatrix(k0, k0, p, _grid(polys[n0:], k0, k0))
-    q = QcMatrix(n0, n0, p, _grid(polys[n0 + k0 * k0:], n0, n0))
+    s = QcMatrix(_grid(polys[n0:], k0, k0))
+    q = QcMatrix(_grid(polys[n0 + k0 * k0:], n0, n0))
     if not (qc_is_invertible(s) and qc_is_invertible(q)):
         raise SingularMatrixError("the private key's S or Q is not invertible")
     return PrivateKey(params, h, s, q, seed, mode)

@@ -70,16 +70,13 @@ def weight_matrix(n0: int, sigma: int) -> tuple[tuple[int, ...], ...]:
         raise ParameterError(
             f"sigma={sigma} means integer even m={q}: every row of the mod-2 "
             "pattern has even parity, so no invertible Q exists")
-    if r == 0:
-        return tuple(tuple(q if i == j else 0 for j in range(n0)) for i in range(n0))
-    # q odd: diagonal base plus a strictly-upper extra band keeps the mod-2
-    # pattern unitriangular, hence nonsingular.
+    # q odd (always so at r = 0): diagonal q plus a strictly-upper band of r ones is
+    # unitriangular mod 2, hence nonsingular, so the pattern needs no determinant check.
     if q % 2 == 1:
         w = [[q if i == j else 0 for j in range(n0)] for i in range(n0)]
         for i in range(r):  # r < n0, so the band never wraps
             w[i][i + 1] += 1
-        if pattern_det_gf2(w):
-            return tuple(tuple(row) for row in w)
+        return tuple(tuple(row) for row in w)
     # remaining cases: deterministic seeded search over near-regular patterns
     rng = SeedStream(b"\x00" * 32, f"weight-matrix/{n0}/{sigma}")
     row_sums = [q + 1 if i < r else q for i in range(n0)]
@@ -175,12 +172,10 @@ class SystemParams:
         return self.m * self.d_v
 
     @classmethod
-    def make(cls, n0: int, p: int, d_v: int, t: int, sigma_w: int | None = None,
-             W=None) -> "SystemParams":
-        """Convenience constructor; builds a balanced W from sigma_w if W is absent."""
-        if W is None:
-            W = weight_matrix(n0, n0 if sigma_w is None else sigma_w)
-        return cls(n0, p, d_v, W, t)
+    def make(cls, n0: int, p: int, d_v: int, t: int,
+             sigma_w: int | None = None) -> "SystemParams":
+        """Convenience constructor; W is the weight_matrix of sigma_w (default n0, so m = 1)."""
+        return cls(n0, p, d_v, weight_matrix(n0, n0 if sigma_w is None else sigma_w), t)
 
 
 @dataclass(frozen=True)
@@ -204,16 +199,11 @@ class ParityCheck:
         return tuple(blk.to_poly() for blk in self.blocks)
 
     def to_qc_matrix(self) -> QcMatrix:
-        return QcMatrix(1, self.params.n0, self.params.p, (self.block_polys(),))
+        return QcMatrix((self.block_polys(),))
 
 
 def _draw_support(p: int, d_v: int, rng: SeedStream) -> SparseSupport:
     return SparseSupport(p, rng.sample_distinct(p, d_v))
-
-
-def _is_invertible(s: SparseSupport) -> bool:
-    """Whether s is a unit of R_p, decided by a gcd instead of an inverse (gf2.is_unit)."""
-    return is_unit(s.to_poly())
 
 
 def sample_h_random(params: SystemParams, rng: SeedStream) -> ParityCheck:
@@ -225,7 +215,7 @@ def sample_h_random(params: SystemParams, rng: SeedStream) -> ParityCheck:
     blocks = [_draw_support(params.p, params.d_v, rng) for _ in range(params.n0 - 1)]
     for _ in range(RESAMPLE_BUDGET):
         last = _draw_support(params.p, params.d_v, rng)
-        if _is_invertible(last):
+        if is_unit(last.to_poly()):
             return ParityCheck(params, tuple(blocks) + (last,))
     raise DesignFailure("no invertible last block within the resampling budget")
 
@@ -277,7 +267,7 @@ def sample_h_rdf(params: SystemParams, rng: SeedStream) -> ParityCheck:
             cand = _grow_difference_block(params.p, params.d_v, seen, rng)
             if cand is None:
                 continue
-            if idx == params.n0 - 1 and not _is_invertible(cand):
+            if idx == params.n0 - 1 and not is_unit(cand.to_poly()):
                 continue
             seen.update(cyclic_differences(params.p, cand.support))
             blocks.append(cand)
@@ -287,23 +277,21 @@ def sample_h_rdf(params: SystemParams, rng: SeedStream) -> ParityCheck:
     return ParityCheck(params, tuple(blocks))
 
 
+def systematic_form(column) -> QcMatrix:
+    """The k0 x (k0 + 1) block matrix [I | P] whose last block column is column (P)."""
+    eye = QcMatrix.identity(len(column), column[0].p)
+    return QcMatrix([row + (blk,) for row, blk in zip(eye.blocks, column)])
+
+
 def systematic_generator(h: ParityCheck) -> QcMatrix:
-    """Systematic generator G = [I | P] with P_i = (H_last^-1 * H_i)^T.
+    """Systematic generator G = systematic_form(P) = [I | P] with P_i = (H_last^-1 * H_i)^T.
 
     G is (n0-1) x n0 blocks and satisfies G * H^T = 0.  Raises
     SingularMatrixError when the last block of H is not invertible.
     """
-    params = h.params
     polys = h.block_polys()
     try:
         last_inv = poly_inverse(polys[-1])
     except NotInvertibleError as exc:
         raise SingularMatrixError("last parity-check block is not invertible") from exc
-    p_col = [poly_mul(last_inv, polys[i]).transpose() for i in range(params.n0 - 1)]
-    one, zero = BitPolynomial.one(params.p), BitPolynomial.zero(params.p)
-    rows = []
-    for i in range(params.n0 - 1):
-        row = [one if j == i else zero for j in range(params.n0 - 1)]
-        row.append(p_col[i])
-        rows.append(tuple(row))
-    return QcMatrix(params.n0 - 1, params.n0, params.p, tuple(rows))
+    return systematic_form([poly_mul(last_inv, blk).transpose() for blk in polys[:-1]])

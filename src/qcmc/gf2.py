@@ -34,6 +34,9 @@ a(x) -> a(x^(2^j)), which move coefficient i to i 2^j mod p and cancel
 collisions.  Even weight (a multiple of x + 1) is rejected before any
 product, every other non-unit by one more product: a * a^(E-1) != 1.
 
+A block matrix (QcMatrix) stores only its grid of circulants; its shape
+rows0 x cols0 and modulus degree p are read off the grid.
+
 Block matrices are inverted by Cramer's rule: over a commutative ring
 adj(A) A = det(A) I, so A^-1 = det^-1 adj(A) exactly when det is a unit.  One
 memoized Laplace expansion, _minors, gives the determinant and every cofactor.
@@ -290,31 +293,33 @@ def is_unit(a: BitPolynomial) -> bool:
 
 @dataclass(frozen=True)
 class QcMatrix:
-    """Grid of circulant blocks, all sharing the same modulus degree p."""
+    """Grid of circulant blocks, all sharing one modulus degree p; the shape is the grid's."""
 
-    rows0: int
-    cols0: int
-    p: int
     blocks: tuple[tuple[BitPolynomial, ...], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(tuple(row) for row in self.blocks))
-        if len(self.blocks) != self.rows0 or any(len(r) != self.cols0 for r in self.blocks):
+        if not all(self.blocks) or len(set(map(len, self.blocks))) != 1:  # empty or ragged
             raise ParameterError("block grid shape mismatch")
         if any(blk.p != self.p for row in self.blocks for blk in row):
             raise ParameterError("all blocks must share the same p")
 
-    @classmethod
-    def from_blocks(cls, blocks) -> "QcMatrix":
-        blocks = tuple(tuple(row) for row in blocks)
-        return cls(len(blocks), len(blocks[0]), blocks[0][0].p, blocks)
+    @property
+    def rows0(self) -> int:
+        return len(self.blocks)
+
+    @property
+    def cols0(self) -> int:
+        return len(self.blocks[0])
+
+    @property
+    def p(self) -> int:
+        return self.blocks[0][0].p
 
     @classmethod
     def identity(cls, n: int, p: int) -> "QcMatrix":
         one, zero = BitPolynomial.one(p), BitPolynomial.zero(p)
-        return cls(n, n, p, tuple(
-            tuple(one if i == j else zero for j in range(n)) for i in range(n)
-        ))
+        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @property
     def total_weight(self) -> int:
@@ -322,20 +327,13 @@ class QcMatrix:
 
     def expand(self) -> np.ndarray:
         """Dense (rows0*p) x (cols0*p) binary matrix (intended for small p)."""
-        out = np.zeros((self.rows0 * self.p, self.cols0 * self.p), dtype=np.uint8)
-        for i in range(self.rows0):
-            for j in range(self.cols0):
-                out[i * self.p:(i + 1) * self.p, j * self.p:(j + 1) * self.p] = \
-                    self.blocks[i][j].to_dense()
-        return out
+        return np.block([[blk.to_dense() for blk in row] for row in self.blocks])
 
 
 def qc_add(a: QcMatrix, b: QcMatrix) -> QcMatrix:
     if (a.rows0, a.cols0, a.p) != (b.rows0, b.cols0, b.p):
         raise ParameterError("shape mismatch")
-    return QcMatrix(a.rows0, a.cols0, a.p, tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.blocks, b.blocks)
-    ))
+    return QcMatrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.blocks, b.blocks)])
 
 
 def qc_mul(a: QcMatrix, b: QcMatrix) -> QcMatrix:
@@ -343,16 +341,12 @@ def qc_mul(a: QcMatrix, b: QcMatrix) -> QcMatrix:
     if a.cols0 != b.rows0 or a.p != b.p:
         raise ParameterError("shape mismatch")
     cols = tuple(zip(*b.blocks))
-    return QcMatrix(a.rows0, b.cols0, a.p, tuple(
-        tuple(BitPolynomial(a.p, _product_bits(zip(row, col), a.p)) for col in cols)
-        for row in a.blocks
-    ))
+    return QcMatrix([[BitPolynomial(a.p, _product_bits(zip(row, col), a.p)) for col in cols]
+                     for row in a.blocks])
 
 
 def qc_transpose(a: QcMatrix) -> QcMatrix:
-    return QcMatrix(a.cols0, a.rows0, a.p, tuple(
-        tuple(a.blocks[i][j].transpose() for i in range(a.rows0)) for j in range(a.cols0)
-    ))
+    return QcMatrix([[blk.transpose() for blk in col] for col in zip(*a.blocks)])
 
 
 @lru_cache(maxsize=1)
@@ -382,9 +376,8 @@ def qc_invert(a: QcMatrix) -> QcMatrix:
         det_inv = poly_inverse(minor(full, full))
     except NotInvertibleError:
         raise SingularMatrixError("determinant is not a unit") from None
-    return QcMatrix(n, n, a.p, tuple(
-        tuple(poly_mul(minor(full ^ 1 << j, full ^ 1 << i), det_inv) for j in range(n))
-        for i in range(n)))
+    return QcMatrix([[poly_mul(minor(full ^ 1 << j, full ^ 1 << i), det_inv) for j in range(n)]
+                     for i in range(n)])
 
 
 def qc_is_invertible(a: QcMatrix) -> bool:
@@ -402,5 +395,5 @@ def qc_vec_mul(v: np.ndarray, a: QcMatrix) -> np.ndarray:
     if v.shape != (a.rows0 * a.p,):
         raise ParameterError(f"vector length must be {a.rows0 * a.p}")
     row = [BitPolynomial(a.p, bits_to_int(v[i * a.p:(i + 1) * a.p])) for i in range(a.rows0)]
-    product = qc_mul(QcMatrix(1, a.rows0, a.p, (row,)), a)
+    product = qc_mul(QcMatrix((row,)), a)
     return np.concatenate([blk.coeffs() for blk in product.blocks[0]])

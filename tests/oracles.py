@@ -171,7 +171,7 @@ def blockwise_qc_mul(a: QcMatrix, b: QcMatrix) -> QcMatrix:
                     acc = acc + linear_fft_poly_mul(a.blocks[i][k], b.blocks[k][j])
             row.append(acc)
         rows.append(tuple(row))
-    return QcMatrix(a.rows0, b.cols0, a.p, tuple(rows))
+    return QcMatrix(rows)
 
 
 def _poly_divmod(a: int, b: int) -> tuple[int, int]:
@@ -248,7 +248,7 @@ def elimination_invert(a: QcMatrix) -> QcMatrix:
                 continue
             work[r] = [x + poly_mul(factor, y) for x, y in zip(work[r], work[col])]
             aug[r] = [x + poly_mul(factor, y) for x, y in zip(aug[r], aug[col])]
-    return QcMatrix(n, n, a.p, tuple(tuple(row) for row in aug))
+    return QcMatrix(aug)
 
 
 def circulant_dense(first_row):

@@ -212,7 +212,7 @@ class TestCriterion7OracleEquivalence:
 
 
 def _random_qc(rng, rows0, cols0, p):
-    return QcMatrix.from_blocks(
+    return QcMatrix(
         [[BitPolynomial(p, rng.take_bits(p)) for _ in range(cols0)]
          for _ in range(rows0)])
 

@@ -13,7 +13,7 @@ import qcmc
 from qcmc.cli import RANGE_MAX_VALUES, _parse_range, main
 from qcmc.crypto import KEY_MAGIC, save_ciphertext
 from qcmc.design import N0_MAX, weight_matrix
-from qcmc.gf2 import BitPolynomial
+from qcmc.gf2 import BitPolynomial, qc_is_invertible
 
 
 @pytest.fixture()
@@ -94,6 +94,16 @@ def test_decrypt_failure_exit_code_and_category(workdir, capsys):
                  "--out", "msg.out", "--decoder", "bfv", "--max-iter", "20"])
     assert code == 1
     assert "error-category: DecodingFailure" in capsys.readouterr().err
+
+
+def test_keygen_failure_exit_code_and_category(workdir, capsys, monkeypatch):
+    # no 1 x 1 block matrix passes the determinant test, so no S is ever kept
+    monkeypatch.setattr(qcmc.crypto, "qc_is_invertible",
+                        lambda m: m.rows0 == 2 and qc_is_invertible(m))
+    assert main(KEYGEN) == 1
+    err = capsys.readouterr().err
+    assert "error-category: KeygenFailure" in err and "no invertible S" in err
+    assert not list(workdir.iterdir())
 
 
 def test_usage_error_exit_2(capsys):

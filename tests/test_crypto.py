@@ -9,14 +9,14 @@ import pytest
 import qcmc.crypto
 import qcmc.gf2
 from oracles import elimination_invert, gf2_inv, gf2_matmul
-from qcmc.crypto import (KeyMode, _sample_q, decrypt, encrypt, keygen, load_ciphertext,
-                         load_private_key, load_public_key, public_parity_check,
+from qcmc.crypto import (KEYGEN_BUDGET, KeyMode, _sample_q, decrypt, encrypt, keygen,
+                         load_ciphertext, load_private_key, load_public_key, public_parity_check,
                          random_error_vector, save_ciphertext, save_private_key,
                          save_public_key)
 from qcmc.crypto import load_key
 from qcmc.decoder import Algorithm, DecoderConfig
 from qcmc.design import SystemParams, systematic_generator
-from qcmc.errors import DecodingFailure, ParameterError, SingularMatrixError
+from qcmc.errors import DecodingFailure, KeygenFailure, ParameterError, SingularMatrixError
 from qcmc.gf2 import (BitPolynomial, QcMatrix, poly_inverse, qc_invert, qc_is_invertible, qc_mul,
                       qc_transpose, qc_vec_mul)
 from qcmc.prng import SeedStream
@@ -138,6 +138,21 @@ class TestKeygen:
                             lambda m: calls.append(m) or qc_invert(m))
         sk, _ = keygen(SystemParams.make(4, 4096, 15, 47, sigma_w=15), 0xC0FFEE, mode)
         assert calls == [sk.Q, sk.S]
+
+    @pytest.mark.parametrize("mode, message", [
+        (KeyMode.CLASSIC, "no invertible S within the sampling budget"),
+        (KeyMode.SYSTEMATIC, "no systematic form within the sampling budget")])
+    def test_sampling_budget_exhausted(self, monkeypatch, mode, message):
+        # a determinant test that accepts only n0 x n0 matrices keeps every Q and
+        # rejects every S, so each mode draws KEYGEN_BUDGET candidate S and gives up
+        params = SystemParams.make(2, 67, 5, 2, sigma_w=6)  # m = 3
+        rejected = []
+        monkeypatch.setattr(
+            qcmc.crypto, "qc_is_invertible",
+            lambda m: qc_is_invertible(m) if m.rows0 == params.n0 else rejected.append(m))
+        with pytest.raises(KeygenFailure, match=message):
+            keygen(params, 3, mode)
+        assert len(rejected) == KEYGEN_BUDGET
 
     def test_one_expansion_per_draw_at_odd_p(self, monkeypatch):
         # at odd p, q = p: qc_invert reuses the determinant expansion that accepted
@@ -407,7 +422,7 @@ class TestSerialization:
         # 0, so elimination rejects it, but its determinant x^2 is a unit
         params = SystemParams.make(3, 21, 3, 1, sigma_w=3)
         sk, _ = keygen(params, 5)
-        crafted = QcMatrix.from_blocks([
+        crafted = QcMatrix([
             [BitPolynomial.from_support(21, [0, 1]), BitPolynomial.one(21)],
             [BitPolynomial.from_support(21, [0, 1, 2]), BitPolynomial.one(21)],
         ])

@@ -1,14 +1,17 @@
 """Parity-check sampling, difference families, generator construction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from oracles import gf2_matmul, has_distinct_differences
-from qcmc.design import (ParityCheck, SystemParams, _is_invertible, cyclic_differences,
-                         pattern_det_gf2, realizable_sigma, sample_h_random, sample_h_rdf,
+from qcmc.design import (ParityCheck, SystemParams, cyclic_differences, pattern_det_gf2,
+                         realizable_sigma, sample_h_random, sample_h_rdf, systematic_form,
                          systematic_generator, weight_matrix)
 from qcmc.errors import DesignFailure, NotInvertibleError, ParameterError, SingularMatrixError
-from qcmc.gf2 import BitPolynomial, SparseSupport, poly_inverse, poly_mul, qc_transpose
+from qcmc.gf2 import (BitPolynomial, QcMatrix, SparseSupport, is_unit, poly_inverse, poly_mul,
+                      qc_transpose)
 from qcmc.prng import SeedStream
 
 
@@ -78,6 +81,15 @@ class TestWeightMatrix:
                 assert max(cols) - min(cols) <= 1
                 assert pattern_det_gf2(w) == 1
 
+    def test_patterns_are_pinned(self):
+        # every realizable sigma in [n0, 10 n0) for n0 = 1..8: 292 patterns, the
+        # odd-q diagonal-plus-band ones and the seeded search's alike
+        rows = [(n0, sigma, weight_matrix(n0, sigma)) for n0 in range(1, 9)
+                for sigma in range(n0, 10 * n0) if realizable_sigma(n0, sigma)]
+        assert len(rows) == 292
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+            "c4ad43d8d36935166bbf2410160a7175f16c40ab9debe0336750f41872a14277"
+
 
 class TestSampleRandom:
     def test_deterministic(self):
@@ -137,7 +149,7 @@ class TestIsInvertible:
                     g = BitPolynomial.from_support(p, [j * (p // r) for j in range(r)])
                     s = SparseSupport.from_poly(poly_mul(s.to_poly(), g))
                 unit = _has_inverse(s)
-                assert _is_invertible(s) == unit, (p, s.support)
+                assert is_unit(s.to_poly()) == unit, (p, s.support)
                 units += unit
                 odd_non_units += not unit and s.weight % 2 == 1
         assert units >= 40 and odd_non_units >= 20
@@ -146,8 +158,8 @@ class TestIsInvertible:
         for p in (1, 2, 3, 4096, 4801):
             one = SparseSupport(p, (0,))
             every = SparseSupport(p, tuple(range(p)))
-            assert _is_invertible(one) and _has_inverse(one)
-            assert _is_invertible(every) == _has_inverse(every) == (p == 1)
+            assert is_unit(one.to_poly()) and _has_inverse(one)
+            assert is_unit(every.to_poly()) == _has_inverse(every) == (p == 1)
 
 
 class TestRdf:
@@ -201,6 +213,14 @@ class TestSystematicGenerator:
         h = ParityCheck(params, (sup, sup))
         g = systematic_generator(h)
         assert g.blocks[0][1].support() == (0,)  # identity block
+
+    def test_systematic_form(self):
+        rng = SeedStream(19, "systematic-form")
+        column = [BitPolynomial(21, rng.take_bits(21)) for _ in range(3)]
+        g = systematic_form(column)
+        assert g == QcMatrix([[blk if j == 3 else BitPolynomial(21, int(i == j))
+                               for j in range(4)] for i, blk in enumerate(column)])
+        assert [row[-1] for row in g.blocks] == column
 
     def test_dense_oracle(self):
         params = SystemParams.make(2, 8, 3, 1)

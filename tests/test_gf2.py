@@ -1,5 +1,6 @@
 """Ring arithmetic against dense GF(2) matrix oracles and frozen examples."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from oracles import (blockwise_qc_mul, circulant_dense, elimination_invert, eucl
 from qcmc.design import SystemParams, pattern_det_gf2
 from qcmc.errors import NotInvertibleError, ParameterError, SingularMatrixError
 from qcmc.gf2 import (FFT_CROSSOVER, BitPolynomial, QcMatrix, SparseSupport, bits_to_int,
-                      int_to_bits, poly_inverse, poly_mul, qc_add, qc_invert,
+                      int_to_bits, is_unit, poly_inverse, poly_mul, qc_add, qc_invert,
                       qc_is_invertible, qc_mul, qc_transpose, qc_vec_mul)
 from qcmc.optimize import DEFAULT_P_GRID
 from qcmc.prng import SeedStream
@@ -36,8 +37,7 @@ def dense_poly(p, rng):
 
 
 def random_qc(rows0, cols0, p, rng):
-    return QcMatrix.from_blocks(
-        [[random_poly(p, rng) for _ in range(cols0)] for _ in range(rows0)])
+    return QcMatrix([[random_poly(p, rng) for _ in range(cols0)] for _ in range(rows0)])
 
 
 class TestPolyMul:
@@ -148,8 +148,8 @@ class TestSpectralKernel:
         # the dense pair last keeps the product from being 0 or all-ones
         rng = SeedStream(26, f"spectral-sum-{p}-{k}")
         full = BitPolynomial(p, (1 << p) - 1)
-        a = QcMatrix.from_blocks([[full] * k + [dense_poly(p, rng)]])
-        b = QcMatrix.from_blocks([[full]] * k + [[dense_poly(p, rng)]])
+        a = QcMatrix([[full] * k + [dense_poly(p, rng)]])
+        b = QcMatrix([[full]] * k + [[dense_poly(p, rng)]])
         assert qc_mul(a, b) == blockwise_qc_mul(a, b)
 
     def test_mixed_output_block(self):
@@ -162,11 +162,10 @@ class TestSpectralKernel:
         def dense():
             return dense_poly(p, rng)
 
-        a = QcMatrix.from_blocks([[random_poly(p, rng, 15), dense(), zero, dense(), dense(),
-                                   dense()]])
-        b = QcMatrix.from_blocks([[dense(), dense()], [dense(), zero], [dense(), dense()],
-                                  [zero, dense()], [random_poly(p, rng, 3), dense()],
-                                  [dense(), dense()]])
+        a = QcMatrix([[random_poly(p, rng, 15), dense(), zero, dense(), dense(), dense()]])
+        b = QcMatrix([[dense(), dense()], [dense(), zero], [dense(), dense()],
+                      [zero, dense()], [random_poly(p, rng, 3), dense()],
+                      [dense(), dense()]])
         product = qc_mul(a, b)
         assert product == blockwise_qc_mul(a, b)
         for j in range(2):
@@ -275,6 +274,15 @@ class TestInverseOracle:
                 assert self.outcome(poly_inverse, a) == self.outcome(euclid_inverse, a) \
                     == "gcd with x^p - 1 is nontrivial"
 
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_is_unit_equals_euclid(self, p):
+        rng = SeedStream(27, f"is-unit-{p}")
+        draws = [random_poly(p, rng) for _ in range(6)] + [BitPolynomial(p, 1 << rng.below(p))]
+        draws += [random_poly(p, rng, weight=2 * rng.below(p // 2 + 1)) for _ in range(2)]
+        outcomes = [is_unit(a) for a in draws]
+        assert outcomes == [not isinstance(self.outcome(euclid_inverse, a), str) for a in draws]
+        assert outcomes[-3] and not any(outcomes[-2:])  # a monomial is a unit, even weight never
+
 
 class TestQcIsInvertible:
     """qc_is_invertible against the full GF(2) rank of the expanded matrix."""
@@ -287,7 +295,7 @@ class TestQcIsInvertible:
             if kind == 0:
                 return BitPolynomial.zero(p)
             return random_poly(p, rng, 1 + 2 * rng.below(2) if kind == 1 else None)
-        return QcMatrix.from_blocks([[block() for _ in range(n)] for _ in range(n)])
+        return QcMatrix([[block() for _ in range(n)] for _ in range(n)])
 
     def test_agrees_with_dense_rank(self):
         rng = SeedStream(22, "qc-det-oracle")
@@ -315,8 +323,8 @@ class TestQcIsInvertible:
         # q = p = 257 > FFT_CROSSOVER: the minors are products of spectra
         rng = SeedStream(23, "qc-det-dense")
         a, b, c = (dense_poly(257, rng) for _ in range(3))
-        singular = QcMatrix.from_blocks([[a, b], [poly_mul(c, a), poly_mul(c, b)]])
-        for m in (singular, QcMatrix.from_blocks([[a, b], [c, dense_poly(257, rng)]]),
+        singular = QcMatrix([[a, b], [poly_mul(c, a), poly_mul(c, b)]])
+        for m in (singular, QcMatrix([[a, b], [c, dense_poly(257, rng)]]),
                   random_qc(2, 2, 257, rng)):
             assert qc_is_invertible(m) == (gf2_rank(m.expand()) == 2 * 257)
         assert not qc_is_invertible(singular)
@@ -330,7 +338,7 @@ class TestQcIsInvertible:
 
     def test_edges(self):
         assert qc_is_invertible(QcMatrix.identity(8, 4801))
-        assert not qc_is_invertible(QcMatrix.from_blocks([[BitPolynomial.zero(7)]]))
+        assert not qc_is_invertible(QcMatrix([[BitPolynomial.zero(7)]]))
         with pytest.raises(ParameterError):
             qc_is_invertible(random_qc(2, 3, 8, SeedStream(25, "qc-det-shape")))
 
@@ -346,8 +354,7 @@ class TestBlockInverseOracle:
         rng = SeedStream(26, f"qc-inv-oracle-{p}")
         weights = SystemParams.make(4, p, 15, 40, sigma_w=15).W
         shapes = (lambda: random_qc(3, 3, p, rng),
-                  lambda: QcMatrix.from_blocks(
-                      [[random_poly(p, rng, w) for w in row] for row in weights]))
+                  lambda: QcMatrix([[random_poly(p, rng, w) for w in row] for row in weights]))
         agreed = 0
         for draw in shapes:
             inverted = 0
@@ -419,6 +426,18 @@ class TestSparseSupport:
 
 
 class TestQcOps:
+    def test_shape_is_the_grids(self):
+        a, b = BitPolynomial.one(5), BitPolynomial.one(7)
+        m = QcMatrix([[a, a, a], [a, a, a]])
+        assert (m.rows0, m.cols0, m.p) == (2, 3, 5)
+        assert [field.name for field in dataclasses.fields(QcMatrix)] == ["blocks"]
+        for blocks in ([], [[]], [[], []], [[a], []], [[a, a], [a]]):
+            with pytest.raises(ParameterError, match="block grid shape mismatch"):
+                QcMatrix(blocks)
+        for blocks in ([[a, b]], [[a], [b]]):
+            with pytest.raises(ParameterError, match="all blocks must share the same p"):
+                QcMatrix(blocks)
+
     def test_mul_identity(self):
         rng = SeedStream(8, "qc-id")
         a = random_qc(2, 3, 16, rng)
@@ -428,7 +447,7 @@ class TestQcOps:
     def test_1x1_reduces_to_poly_mul(self):
         rng = SeedStream(9, "qc-1x1")
         a, b = random_poly(13, rng), random_poly(13, rng)
-        prod = qc_mul(QcMatrix.from_blocks([[a]]), QcMatrix.from_blocks([[b]]))
+        prod = qc_mul(QcMatrix([[a]]), QcMatrix([[b]]))
         assert prod.blocks[0][0] == poly_mul(a, b)
 
     def test_mul_matches_dense(self):
@@ -471,7 +490,7 @@ class TestQcOps:
     def test_invert_identity_and_1x1(self):
         assert qc_invert(QcMatrix.identity(3, 8)) == QcMatrix.identity(3, 8)
         a = BitPolynomial.from_support(9, [0, 1, 3])
-        inv = qc_invert(QcMatrix.from_blocks([[a]]))
+        inv = qc_invert(QcMatrix([[a]]))
         assert inv.blocks[0][0] == poly_inverse(a)
 
     def test_invert_random_3x3(self):
@@ -499,7 +518,7 @@ class TestQcOps:
         # of column 0 is a unit, yet the determinant (1 + x) + (1 + x + x^2) = x^2 is:
         # elimination rejects the matrix, the adjugate inverts it
         for p in (21, 105):
-            a = QcMatrix.from_blocks([
+            a = QcMatrix([
                 [BitPolynomial.from_support(p, [0, 1]), BitPolynomial.one(p)],
                 [BitPolynomial.from_support(p, [0, 1, 2]), BitPolynomial.one(p)],
             ])
@@ -539,7 +558,7 @@ class TestQcOps:
         def dense():
             return random_poly(p, rng, FFT_CROSSOVER + 1 + rng.below(p - FFT_CROSSOVER - 1))
 
-        a = QcMatrix.from_blocks([
+        a = QcMatrix([
             [dense(), BitPolynomial.zero(p), dense()],
             [dense(), dense(), random_poly(p, rng, 3)],
             [dense(), dense(), dense()],
